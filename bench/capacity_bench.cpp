@@ -1,7 +1,7 @@
 // Capacity bench for the vcycle engine: partitions scaled synthetic
 // netlists (gen/scaled.h) at 10^5..10^6+ gates and records throughput
-// (gates/sec), per-level wall time, and peak RSS into
-// results/BENCH_capacity.json.
+// (gates/sec), the stage breakdown of the solve's wall time, per-level
+// wall time, and peak RSS into results/BENCH_capacity.json.
 //
 // Unlike the paper-table benches this is a plain main(): a million-gate
 // run is far too slow to repeat under the google-benchmark harness, and
@@ -31,6 +31,17 @@
 
 namespace sfqpart::bench {
 namespace {
+
+// The 10^6-gate banded run with the previous coarsener (parallel coarse
+// edges kept with multiplicity, heavy-edge matching only), measured by
+// this bench with --threads 1, Release, gcc 12.2, on the 4-vCPU Intel
+// Xeon VM that recorded the current artifact. Frozen so the coarsening
+// fix's before/after lives in one artifact.
+constexpr long long kBefore1MTarget = 1000000;
+constexpr double kBefore1MSolveMs = 6786.29;
+constexpr double kBefore1MCoarseSolveMs = 3799.62;
+constexpr long long kBefore1MCoarseGates = 27756;
+constexpr long long kBefore1MCoarseEdges = 345044;
 
 // Fails the bench (exit 1) unless the partition is valid: every
 // partitionable gate on a plane in [0, K), every interface gate left on
@@ -177,42 +188,75 @@ int run(int argc, char** argv) {
                   .set("refine_moves",
                        Json::number(static_cast<long long>(level.refine_moves))));
         }
-        doc = Json::object()
-                  .set("levels", std::move(levels))
-                  .set("coarse_solve_ms", Json::number(report.stage_ms("coarse_solve")))
-                  .set("run_ms", Json::number(report.stage_ms("run")));
+        doc = Json::object().set("levels", std::move(levels));
       }
-      runs.append(Json::object()
-                      .set("target_gates", Json::number(size))
-                      .set("refine_style", Json::string(flavor.name))
-                      .set("gates", Json::number(static_cast<long long>(partitionable)))
-                      .set("edges", Json::number(
-                                        static_cast<long long>(netlist.unique_edges().size())))
-                      .set("planes", Json::number(static_cast<long long>(num_planes)))
-                      .set("levels", Json::number(static_cast<long long>(result.levels)))
-                      .set("coarse_gates",
-                           Json::number(static_cast<long long>(result.coarse_gates)))
-                      .set("refine_moves", Json::number(result.refine_moves))
-                      .set("discrete_total", Json::number(result.discrete_total))
-                      .set("gen_ms", Json::number(gen_ms))
-                      .set("solve_ms", Json::number(solve_ms))
-                      .set("gates_per_sec", Json::number(gates_per_sec))
-                      .set("peak_rss_mb", Json::number(rss_mb))
-                      .set("name_table_bytes",
-                           Json::number(static_cast<long long>(
-                               netlist.name_table_bytes())))
-                      .set("name_index_bytes",
-                           Json::number(static_cast<long long>(
-                               netlist.name_index_bytes())))
-                      // What the old unordered_map<string_view, GateId>
-                      // index cost for the same gate count (measured
-                      // libstdc++ node 56 B + bucket pointer 8 B per
-                      // entry), so the artifact carries the diet's delta.
-                      .set("name_index_map_bytes_before",
-                           Json::number(static_cast<long long>(
-                               static_cast<std::size_t>(netlist.num_gates()) *
-                               64)))
-                      .set("report", std::move(doc)));
+      // The stage breakdown of the solve's wall time. The report's "run"
+      // stage is the nested coarse Solver's timer, not the whole solve, so
+      // the wall time is taken around vcycle_partition and the remainder
+      // is reported explicitly.
+      const double coarsen_ms = report.stage_ms("coarsen");
+      const double coarse_solve_ms = report.stage_ms("coarse_solve");
+      const double uncoarsen_ms = report.stage_ms("uncoarsen");
+      Json stages =
+          Json::object()
+              .set("wall_ms", Json::number(solve_ms))
+              .set("coarsen_ms", Json::number(coarsen_ms))
+              .set("coarse_solve_ms", Json::number(coarse_solve_ms))
+              .set("uncoarsen_ms", Json::number(uncoarsen_ms))
+              .set("unattributed_ms",
+                   Json::number(solve_ms - coarsen_ms - coarse_solve_ms -
+                                uncoarsen_ms));
+      const obs::LevelEvent* coarsest = nullptr;
+      for (const obs::LevelEvent& level : report.levels()) {
+        if (level.level == result.levels) coarsest = &level;
+      }
+      const long long coarse_edges =
+          coarsest != nullptr ? coarsest->num_edges : 0;
+      Json run = Json::object();
+      run.set("target_gates", Json::number(size))
+          .set("refine_style", Json::string(flavor.name))
+          .set("gates", Json::number(static_cast<long long>(partitionable)))
+          .set("edges", Json::number(
+                            static_cast<long long>(netlist.unique_edges().size())))
+          .set("planes", Json::number(static_cast<long long>(num_planes)))
+          .set("levels", Json::number(static_cast<long long>(result.levels)))
+          .set("coarse_gates",
+               Json::number(static_cast<long long>(result.coarse_gates)))
+          .set("coarse_edges", Json::number(coarse_edges))
+          .set("refine_moves", Json::number(result.refine_moves))
+          .set("discrete_total", Json::number(result.discrete_total))
+          .set("gen_ms", Json::number(gen_ms))
+          .set("solve_ms", Json::number(solve_ms))
+          .set("gates_per_sec", Json::number(gates_per_sec))
+          .set("peak_rss_mb", Json::number(rss_mb))
+          .set("name_table_bytes",
+               Json::number(static_cast<long long>(
+                   netlist.name_table_bytes())))
+          .set("name_index_bytes",
+               Json::number(static_cast<long long>(
+                   netlist.name_index_bytes())))
+          // What the old unordered_map<string_view, GateId>
+          // index cost for the same gate count (measured
+          // libstdc++ node 56 B + bucket pointer 8 B per
+          // entry), so the artifact carries the diet's delta.
+          .set("name_index_map_bytes_before",
+               Json::number(static_cast<long long>(
+                   static_cast<std::size_t>(netlist.num_gates()) *
+                   64)))
+          .set("stages", std::move(stages))
+          .set("report", std::move(doc));
+      if (size == kBefore1MTarget &&
+          flavor.style == VcycleRefineStyle::kBanded) {
+        run.set(
+            "before",
+            Json::object()
+                .set("solve_ms", Json::number(kBefore1MSolveMs))
+                .set("coarse_solve_ms", Json::number(kBefore1MCoarseSolveMs))
+                .set("coarse_gates", Json::number(kBefore1MCoarseGates))
+                .set("coarse_edges", Json::number(kBefore1MCoarseEdges))
+                .set("solve_speedup", Json::number(kBefore1MSolveMs / solve_ms)));
+      }
+      runs.append(std::move(run));
     }
   }
 

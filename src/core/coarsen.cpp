@@ -10,7 +10,7 @@
 namespace sfqpart {
 namespace {
 
-// Per-vertex (neighbor, multiplicity) lists in the historical append
+// Per-vertex (neighbor, summed weight) lists in the historical append
 // order the legacy coarsener produced by globally sorting canonicalized
 // edges: for vertex v, neighbors u < v in ascending u first, then
 // neighbors u > v in ascending u. Matching tie-breaks on list order, so
@@ -24,14 +24,16 @@ WeightedAdjacency weighted_adjacency(const ProblemView& fine) {
   const int n = fine.num_gates();
   const std::uint32_t* offsets = fine.offsets();
   const std::int32_t* adj = fine.neighbors();
+  const std::int32_t* slot_weights = fine.slot_weights();
 
   WeightedAdjacency out;
   out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   out.entries.reserve(2 * fine.num_edges());
 
-  // Stamp-accumulate each vertex's parallel-edge multiplicities from the
-  // shared CSR view, then sort its few entries into the historical order.
-  // O(E log d) total instead of the legacy global edge sort's O(E log E).
+  // Stamp-accumulate each vertex's edge weights per neighbor from the
+  // shared CSR view (parallel edges, if any, sum), then sort its few
+  // entries into the historical order. O(E log d) total instead of the
+  // legacy global edge sort's O(E log E).
   std::vector<int> slot_of(static_cast<std::size_t>(n), -1);
   std::vector<std::pair<int, int>> scratch;
   for (int v = 0; v < n; ++v) {
@@ -41,9 +43,9 @@ WeightedAdjacency weighted_adjacency(const ProblemView& fine) {
       int& slot = slot_of[static_cast<std::size_t>(u)];
       if (slot < 0) {
         slot = static_cast<int>(scratch.size());
-        scratch.emplace_back(u, 1);
+        scratch.emplace_back(u, slot_weights[s]);
       } else {
-        ++scratch[static_cast<std::size_t>(slot)].second;
+        scratch[static_cast<std::size_t>(slot)].second += slot_weights[s];
       }
     }
     for (const auto& [u, weight] : scratch) {
@@ -61,6 +63,72 @@ WeightedAdjacency weighted_adjacency(const ProblemView& fine) {
         static_cast<std::uint32_t>(out.entries.size());
   }
   return out;
+}
+
+// True when v and u may share a coarse vertex: never two vertices pinned
+// to different planes, since the merged vertex could not honor both pins.
+bool pins_compatible(const std::vector<int>* fixed, int v, int u) {
+  if (fixed == nullptr) return true;
+  const int fv = (*fixed)[static_cast<std::size_t>(v)];
+  const int fu = (*fixed)[static_cast<std::size_t>(u)];
+  return fv < 0 || fu < 0 || fv == fu;
+}
+
+// The contracted edge set: every fine edge between two different coarse
+// vertices, parallel edges (either orientation) collapsed into one edge
+// (lo, hi), lo < hi, whose weight is their summed weight. Coarse edges
+// are ordered by lo, then by their first fine edge. Bucketing the fine
+// edges by lo and stamping hi makes this O(E) without hashing, and the
+// lo-major order lets the cost model's edge pass read one endpoint's
+// label sequentially.
+void contract_edges(const PartitionProblem& fine,
+                    const std::vector<int>& parent_of_fine, int num_coarse,
+                    PartitionProblem& coarse) {
+  const auto n = static_cast<std::size_t>(num_coarse);
+  const auto coarse_ends = [&](const std::pair<int, int>& edge) {
+    const int ca = parent_of_fine[static_cast<std::size_t>(edge.first)];
+    const int cb = parent_of_fine[static_cast<std::size_t>(edge.second)];
+    return std::pair<int, int>{std::min(ca, cb), std::max(ca, cb)};
+  };
+  std::vector<std::uint32_t> bucket_offsets(n + 1, 0);
+  for (const auto& edge : fine.edges) {
+    const auto [lo, hi] = coarse_ends(edge);
+    if (lo != hi) ++bucket_offsets[static_cast<std::size_t>(lo) + 1];
+  }
+  for (std::size_t c = 1; c <= n; ++c) {
+    bucket_offsets[c] += bucket_offsets[c - 1];
+  }
+  // (hi, weight) per crossing fine edge, grouped by lo in fine edge order.
+  std::vector<std::pair<int, int>> bucket(bucket_offsets[n]);
+  std::vector<std::uint32_t> cursor(bucket_offsets.begin(),
+                                    bucket_offsets.end() - 1);
+  for (std::size_t e = 0; e < fine.edges.size(); ++e) {
+    const auto [lo, hi] = coarse_ends(fine.edges[e]);
+    if (lo == hi) continue;
+    const std::uint32_t at = cursor[static_cast<std::size_t>(lo)]++;
+    bucket[at] = {hi, fine.edge_weight(e)};
+  }
+
+  // edge_of[hi]: the coarse edge (lo, hi) of the current lo, or -1.
+  std::vector<int> edge_of(n, -1);
+  for (std::size_t lo = 0; lo < n; ++lo) {
+    const std::size_t first = coarse.edges.size();
+    for (std::uint32_t i = bucket_offsets[lo]; i < bucket_offsets[lo + 1];
+         ++i) {
+      const auto [hi, weight] = bucket[i];
+      int& edge = edge_of[static_cast<std::size_t>(hi)];
+      if (edge < 0) {
+        edge = static_cast<int>(coarse.edges.size());
+        coarse.edges.emplace_back(static_cast<int>(lo), hi);
+        coarse.edge_weights.push_back(weight);
+      } else {
+        coarse.edge_weights[static_cast<std::size_t>(edge)] += weight;
+      }
+    }
+    for (std::size_t e = first; e < coarse.edges.size(); ++e) {
+      edge_of[static_cast<std::size_t>(coarse.edges[e].second)] = -1;
+    }
+  }
 }
 
 }  // namespace
@@ -87,12 +155,16 @@ CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
     assert(rng != nullptr && "kLegacyShuffle consumes one Rng shuffle");
     rng->shuffle(visit);
   } else {
-    // Pinned order: heaviest vertices first, index tie-break. A pure
-    // function of the graph — no Rng draw, no dependence on how many
-    // draws earlier stages consumed.
-    std::sort(visit.begin(), visit.end(), [&fine](int a, int b) {
-      const std::uint32_t da = fine.degree(a);
-      const std::uint32_t db = fine.degree(b);
+    // Pinned order: heaviest vertices first (summed incident edge
+    // weight), index tie-break. A pure function of the graph — no Rng
+    // draw, no dependence on how many draws earlier stages consumed.
+    std::vector<long long> degree(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) {
+      degree[static_cast<std::size_t>(v)] = fine.weighted_degree(v);
+    }
+    std::sort(visit.begin(), visit.end(), [&degree](int a, int b) {
+      const long long da = degree[static_cast<std::size_t>(a)];
+      const long long db = degree[static_cast<std::size_t>(b)];
       if (da != db) return da > db;
       return a < b;
     });
@@ -109,13 +181,7 @@ CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
          s < adjacency.offsets[static_cast<std::size_t>(v) + 1]; ++s) {
       const auto& [u, weight] = adjacency.entries[s];
       if (u == v || match[static_cast<std::size_t>(u)] >= 0) continue;
-      if (fixed != nullptr) {
-        // Never contract two vertices pinned to different planes — the
-        // merged vertex could not honor both pins.
-        const int fv = (*fixed)[static_cast<std::size_t>(v)];
-        const int fu = (*fixed)[static_cast<std::size_t>(u)];
-        if (fv >= 0 && fu >= 0 && fv != fu) continue;
-      }
+      if (!pins_compatible(fixed, v, u)) continue;
       if (weight > best_weight) {
         best_weight = weight;
         best = u;
@@ -126,6 +192,38 @@ CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
       match[static_cast<std::size_t>(best)] = v;
     } else {
       match[static_cast<std::size_t>(v)] = v;  // stays single
+    }
+  }
+
+  // Two-hop (sibling) pass. Heavy-edge matching stalls on stars: a
+  // splitter tree's hub takes one leaf and every other leaf is left
+  // single, because its only neighbor is already matched. Leaves that
+  // share their heaviest neighbor share one driver, so merging them adds
+  // no coupling between them (DESIGN.md section 12.5). Visit the singles
+  // in the same order and pair each with the previous still-waiting
+  // single of the same heaviest neighbor (first maximal weight in
+  // adjacency order, matched or not).
+  std::vector<int> waiting(static_cast<std::size_t>(n), -1);  // by hub
+  for (const int v : visit) {
+    if (match[static_cast<std::size_t>(v)] != v) continue;
+    int hub = -1;
+    int hub_weight = 0;
+    for (std::uint32_t s = adjacency.offsets[static_cast<std::size_t>(v)];
+         s < adjacency.offsets[static_cast<std::size_t>(v) + 1]; ++s) {
+      const auto& [u, weight] = adjacency.entries[s];
+      if (u != v && weight > hub_weight) {
+        hub_weight = weight;
+        hub = u;
+      }
+    }
+    if (hub < 0) continue;  // isolated vertex
+    int& sibling = waiting[static_cast<std::size_t>(hub)];
+    if (sibling < 0) {
+      sibling = v;
+    } else if (pins_compatible(fixed, v, sibling)) {
+      match[static_cast<std::size_t>(v)] = sibling;
+      match[static_cast<std::size_t>(sibling)] = v;
+      sibling = -1;
     }
   }
 
@@ -160,11 +258,7 @@ CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
       level.fixed.push_back(plane);
     }
   }
-  for (const auto& [a, b] : problem.edges) {
-    const int ca = level.parent_of_fine[static_cast<std::size_t>(a)];
-    const int cb = level.parent_of_fine[static_cast<std::size_t>(b)];
-    if (ca != cb) coarse.edges.emplace_back(ca, cb);  // keep multiplicity
-  }
+  contract_edges(problem, level.parent_of_fine, coarse.num_gates, coarse);
   return level;
 }
 
@@ -181,7 +275,9 @@ LevelStack build_level_stack(
          stack.num_levels() < options.max_levels) {
     const ProblemView view(*current);
     CoarseLevel level = coarsen_once(view, options.order, rng, current_fixed);
-    // Matching can stall on star-shaped graphs; stop when progress fades.
+    // Stop when progress fades: the two-hop pass merges the stars that
+    // stall heavy-edge matching, but a graph of isolated vertices or of
+    // stars whose leaves are pinned apart still cannot shrink.
     // (A discarded level has already consumed its kLegacyShuffle draws —
     // deliberately, to preserve the legacy Rng sequence for the stages
     // that share the Rng downstream.)

@@ -3,7 +3,7 @@
 //
 // Extracted from core/multilevel.cpp so every multilevel-style engine
 // shares one implementation: coarsen_once() contracts a matching of the
-// (multi-)graph into the next coarser PartitionProblem, and
+// weighted graph into the next coarser PartitionProblem, and
 // build_level_stack() iterates it into an explicit LevelStack — the
 // per-level problems plus the fine->coarse projection arrays the
 // uncoarsening sweep walks back up.
@@ -16,20 +16,25 @@
 //    the stall check later discards. The golden-label parity tests in
 //    tests/core/engine_test.cpp pin this path.
 //  * kDegreeSorted is the determinism-contract order the V-cycle uses:
-//    vertices are visited by descending weighted degree (parallel edges
-//    counted with multiplicity) with ascending-index tie-break. No Rng is
+//    vertices are visited by descending weighted degree (the sum of
+//    incident edge weights) with ascending-index tie-break. No Rng is
 //    consumed, so the level shape is a pure function of the graph — the
 //    historical Rng-shuffled order made level shape depend on how many
 //    draws earlier stages had consumed, which is exactly the
 //    iteration-order dependence the determinism contract (DESIGN.md
 //    section 7) forbids.
 //
-// Matching itself is the classic heavy-edge rule: visit vertices in
-// order, match each unmatched vertex to its unmatched neighbor of
-// maximal edge weight (first such neighbor in adjacency order wins
-// ties), merge matched pairs, keep inter-cluster edges with
-// multiplicity. Bias and area accumulate through merges, so every coarse
-// problem optimizes the same F1..F3 objective.
+// Matching is the classic heavy-edge rule: visit vertices in order,
+// match each unmatched vertex to its unmatched neighbor of maximal edge
+// weight (first such neighbor in adjacency order wins ties). A second,
+// two-hop pass then pairs vertices left single that share the same
+// heaviest neighbor — the leaves of a splitter fanout tree or star, which
+// heavy-edge matching cannot pair because their one neighbor is taken
+// (DESIGN.md section 12.5). Matched pairs merge; parallel inter-cluster
+// edges collapse into one edge carrying their summed weight, so a coarse
+// edge of weight w costs what its w fine edges cost. Bias and area
+// accumulate through merges, so every coarse problem optimizes the same
+// F1..F3 objective.
 #pragma once
 
 #include <functional>
@@ -69,7 +74,7 @@ struct CoarsenOptions {
   // Safety cap on coarsening levels.
   int max_levels = 20;
   // Stop when a level shrinks by less than this percentage (matching
-  // stalls on star-shaped graphs).
+  // stalls on graphs of isolated vertices or of pinned-apart stars).
   int min_shrink_percent = 5;
   MatchOrder order = MatchOrder::kLegacyShuffle;
 };
@@ -94,11 +99,11 @@ struct LevelStack {
   }
 };
 
-// One heavy-edge-matching contraction of the viewed problem. `rng` is
-// consumed (one shuffle) only by kLegacyShuffle and may be null for
-// kDegreeSorted. `fixed` (per fine vertex, -1 = free; null =
+// One heavy-edge plus two-hop matching contraction of the viewed
+// problem. `rng` is consumed (one shuffle) only by kLegacyShuffle and may
+// be null for kDegreeSorted. `fixed` (per fine vertex, -1 = free; null =
 // unconstrained) forbids matching two vertices pinned to different
-// planes and fills CoarseLevel::fixed.
+// planes, in either pass, and fills CoarseLevel::fixed.
 CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order,
                          Rng* rng = nullptr,
                          const std::vector<int>* fixed = nullptr);

@@ -212,9 +212,10 @@ void CostModel::init(const CostWeights& weights) {
   assert(k >= 2);
   assert(weights.distance_exponent >= 1 &&
          "distance_exponent must be >= 1 (the Solver facade validates this)");
-  // N1 = |E| (K-1)^p; N2 = (K-1) Bbar^2 with the ideal Bbar = B_cir / K;
-  // N3 analogous; N4 = G (K-1)^2. Degenerate problems (no edges, zero
-  // bias) fall back to 1 to keep the terms finite.
+  // N1 = sum w_e (K-1)^p (|E| (K-1)^p for unit weights); N2 = (K-1)
+  // Bbar^2 with the ideal Bbar = B_cir / K; N3 analogous; N4 = G (K-1)^2.
+  // Degenerate problems (no edges, zero bias) fall back to 1 to keep the
+  // terms finite.
   const double k1 = static_cast<double>(k - 1);
   double total_bias = 0.0;
   double total_area = 0.0;
@@ -222,7 +223,8 @@ void CostModel::init(const CostWeights& weights) {
   for (const double a : problem.area) total_area += a;
   const double mean_bias = total_bias / k;
   const double mean_area = total_area / k;
-  n1_ = static_cast<double>(problem.edges.size()) * ipow(k1, weights.distance_exponent);
+  n1_ = static_cast<double>(view_->total_edge_weight()) *
+        ipow(k1, weights.distance_exponent);
   n2_ = k1 * mean_bias * mean_bias;
   n3_ = k1 * mean_area * mean_area;
   n4_ = static_cast<double>(g) * k1 * k1;
@@ -346,7 +348,8 @@ double CostModel::f1_and_slot_grad(const Aggregates& agg, Workspace& ws) const {
                           ws.slot_grad.data(),
                           weights_.distance_exponent,
                           n1_,
-                          style_ == GradientStyle::kAnalytic};
+                          style_ == GradientStyle::kAnalytic,
+                          view_->edge_weights()};
   EdgeGradBody body{&args, fn, &ws.f1_partial};
   parallel_chunks(pool_, edges, kReductionGrain, body, kEdgePassCost);
   double f1 = 0.0;
@@ -362,7 +365,7 @@ double CostModel::f1_term(const Aggregates& agg, Workspace& ws) const {
   ws.f1_partial.reset(edge_chunks, 1);
   const simd::KernelTable& kt = simd::kernels();
   simd::EdgeArgs args{problem().edges.data(), agg.labels.data(),
-                      weights_.distance_exponent};
+                      weights_.distance_exponent, view_->edge_weights()};
   F1TermBody body{&args, kt.f1_term, &ws.f1_partial};
   parallel_chunks(pool_, edges, kReductionGrain, body, kEdgePassCost);
   double f1 = 0.0;
@@ -527,11 +530,14 @@ void CostModel::scatter_gradient_pass(const Matrix& w, Matrix& grad,
 
   // F1: dF1/dl_i accumulated per gate, then dl_i/dw_{i,k} = (k+1).
   ws.dlabel.assign(g, 0.0);
-  for (const auto& [a, b] : problem().edges) {
+  const std::int32_t* edge_weights = view_->edge_weights();
+  for (std::size_t e = 0; e < problem().edges.size(); ++e) {
+    const auto& [a, b] = problem().edges[e];
     const auto ua = static_cast<std::size_t>(a);
     const auto ub = static_cast<std::size_t>(b);
     const double delta = agg.labels[ua] - agg.labels[ub];
-    const double magnitude = p * ipow(std::abs(delta), p - 1) / n1_;
+    const double magnitude = static_cast<double>(edge_weights[e]) *
+                             (p * ipow(std::abs(delta), p - 1) / n1_);
     if (style_ == GradientStyle::kAnalytic) {
       const double signed_term = delta >= 0.0 ? magnitude : -magnitude;
       ws.dlabel[ua] += signed_term;

@@ -1,7 +1,7 @@
 // The paper's cost function F = c1*F1 + c2*F2 + c3*F3 + c4*F4 and its
 // gradients (equations 4-10).
 //
-//  F1: interconnect distance cost   sum |l_i1 - l_i2|^4 / N1
+//  F1: interconnect distance cost   sum w_e |l_i1 - l_i2|^4 / N1
 //  F2: bias-current variance        sum (B_k - Bbar)^2 / (K*N2)
 //  F3: block-area variance          sum (A_k - Abar)^2 / (K*N3)
 //  F4: relaxed one-hot constraint (Lagrangian of equation 7)

@@ -24,7 +24,8 @@ MoveEvaluator::MoveEvaluator(const CostModel& model, std::vector<int> labels)
       // produces each gate's neighbor list in exactly the order the old
       // per-gate push_back did, so delta() stays bit-identical.
       neighbor_offsets_(model.view().offsets()),
-      neighbor_adj_(model.view().neighbors()) {
+      neighbor_adj_(model.view().neighbors()),
+      neighbor_weight_(model.view().slot_weights()) {
   const PartitionProblem& problem = model.problem();
   assert(static_cast<int>(labels_.size()) == problem.num_gates);
 
@@ -57,7 +58,8 @@ double MoveEvaluator::delta(int gate, int target) const {
        ++s) {
     const int lj = labels_[static_cast<std::size_t>(neighbor_adj_[s])];
     result += f1_coef_ *
-              (ipow(std::abs(target - lj), p) - ipow(std::abs(source - lj), p));
+              (static_cast<double>(neighbor_weight_[s]) *
+               (ipow(std::abs(target - lj), p) - ipow(std::abs(source - lj), p)));
   }
   auto variance_delta = [](double from, double to, double moved, double mean) {
     const double from_old = from - mean;

@@ -34,8 +34,9 @@ class MoveEvaluator {
   double current_cost() const;
 
   // Borrowed CSR neighbor range of `gate` (ascending edge order; parallel
-  // edges appear with multiplicity). For refiners that must requeue a
-  // moved gate's neighborhood (bucket_refine, the eco engine).
+  // edges, if the problem has any, appear once each). For refiners that
+  // must requeue a moved gate's neighborhood (bucket_refine, the eco
+  // engine).
   std::pair<const std::int32_t*, const std::int32_t*> neighbors(
       int gate) const {
     const auto g = static_cast<std::size_t>(gate);
@@ -56,6 +57,7 @@ class MoveEvaluator {
   // O(E) pass and no second copy of the adjacency.
   const std::uint32_t* neighbor_offsets_;  // size G + 1
   const std::int32_t* neighbor_adj_;       // size 2|E|
+  const std::int32_t* neighbor_weight_;    // size 2|E|, the slot's w_e
   std::vector<double> plane_bias_;
   std::vector<double> plane_area_;
   double mean_bias_ = 0.0;

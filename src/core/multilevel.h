@@ -2,13 +2,14 @@
 //
 // The paper's conclusion leaves scaling beyond ~4k gates open; the classic
 // answer (Karypis/Kumar, the paper's reference [18]) is multilevel:
-// coarsen the connection graph by heavy-edge matching until it is small,
-// run the gradient-descent partitioner on the coarse graph (where the
-// relaxation is cheap and the landscape smooth), then project the labels
-// back level by level with greedy refinement at each step. Bias and area
-// weights accumulate through the merges, so the coarse problem optimizes
-// the same F1..F3 objective; contracted parallel edges keep their
-// multiplicity, preserving F1's edge weighting.
+// coarsen the connection graph by heavy-edge and two-hop matching until it
+// is small, run the gradient-descent partitioner on the coarse graph
+// (where the relaxation is cheap and the landscape smooth), then project
+// the labels back level by level with greedy refinement at each step.
+// Bias and area weights accumulate through the merges, so the coarse
+// problem optimizes the same F1..F3 objective; contracted parallel edges
+// collapse into one edge carrying their summed weight, preserving F1's
+// edge weighting.
 #pragma once
 
 #include "core/solver.h"

@@ -43,13 +43,24 @@ struct InitialPartition {
 // The compact optimization problem the paper formulates: G partitionable
 // gates with bias/area weights, the undirected connection set E, and K.
 // Compact indices 0..G-1 map back to netlist gate ids via gate_ids.
+//
+// Edges carry integer weights: an edge of weight w costs exactly what w
+// parallel unit edges would (F1 = sum w_e |dl_e|^p, N1 = sum w_e (K-1)^p).
+// Netlist-derived problems leave edge_weights empty (every weight 1);
+// coarse problems (core/coarsen.h) collapse parallel edges into one
+// weighted edge.
 struct PartitionProblem {
   int num_gates = 0;   // G
   int num_planes = 0;  // K
   std::vector<double> bias;                 // b_i, size G
   std::vector<double> area;                 // a_i, size G
   std::vector<std::pair<int, int>> edges;   // E (compact indices)
+  std::vector<int> edge_weights;            // w_e, size |E|; empty = all 1
   std::vector<GateId> gate_ids;             // compact -> GateId
+
+  int edge_weight(std::size_t e) const {
+    return edge_weights.empty() ? 1 : edge_weights[e];
+  }
 
   static PartitionProblem from_netlist(const Netlist& netlist, int num_planes);
 

@@ -12,13 +12,17 @@
 //   neighbors()[s]                  the far endpoint stored in slot s
 //   slot_of_first()[e]              slot edge e occupies at edges[e].first
 //   slot_of_second()[e]             slot edge e occupies at edges[e].second
+//   edge_weights()[e]               w_e (1 when the problem has none)
+//   slot_weights()[s]               the weight of the edge in slot s
 //
 // Slots are filled by one cursor pass in ascending edge index, so a
 // gate's slot range enumerates its incident edges in exactly the order
 // the historical per-edge scatter touched its accumulator — the property
 // both CostModel's gather (bit-identical F1 sums) and MoveEvaluator's
-// delta() (bit-identical move deltas) rely on. Parallel edges keep one
-// slot pair each; multiplicity is visible as repeated neighbors.
+// delta() (bit-identical move deltas) rely on. The weights are always
+// materialised, filled with 1 for netlist-derived problems, so every
+// reader runs one weighted path; 1 * x == x in IEEE arithmetic keeps
+// unit-weight results bit-identical to an unweighted evaluation.
 //
 // The view does not own the problem: the PartitionProblem must outlive
 // it. The derived arrays are owned by the view and immutable after
@@ -46,14 +50,16 @@ class ProblemView {
   const std::int32_t* neighbors() const { return neighbors_.data(); }
   const std::uint32_t* slot_of_first() const { return slot_of_first_.data(); }
   const std::uint32_t* slot_of_second() const { return slot_of_second_.data(); }
+  const std::int32_t* edge_weights() const { return edge_weights_.data(); }
+  const std::int32_t* slot_weights() const { return slot_weights_.data(); }
 
-  // Incident-edge count of a gate (parallel edges counted with
-  // multiplicity) — the weighted degree the coarsener's pinned visit
-  // order sorts by.
-  std::uint32_t degree(int gate) const {
-    return offsets_[static_cast<std::size_t>(gate) + 1] -
-           offsets_[static_cast<std::size_t>(gate)];
-  }
+  // Sum of all edge weights — the edge count of the multiplicity-expanded
+  // graph, and the |E| factor of N1.
+  long long total_edge_weight() const { return total_edge_weight_; }
+
+  // Sum of a gate's incident edge weights — the weighted degree the
+  // coarsener's pinned visit order sorts by.
+  long long weighted_degree(int gate) const;
 
  private:
   const PartitionProblem* problem_;
@@ -61,6 +67,9 @@ class ProblemView {
   std::vector<std::int32_t> neighbors_;    // size 2|E|
   std::vector<std::uint32_t> slot_of_first_;   // size |E|
   std::vector<std::uint32_t> slot_of_second_;  // size |E|
+  std::vector<std::int32_t> edge_weights_;     // size |E|
+  std::vector<std::int32_t> slot_weights_;     // size 2|E|
+  long long total_edge_weight_ = 0;
 };
 
 }  // namespace sfqpart

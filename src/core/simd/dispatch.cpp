@@ -41,6 +41,7 @@ struct ProbeProblem {
   std::vector<double> bias;
   std::vector<double> area;
   std::vector<std::pair<int, int>> edges;
+  std::vector<std::int32_t> weights;  // mixed 1..3, as on coarse graphs
   std::vector<std::uint32_t> slot_of_first;
   std::vector<std::uint32_t> slot_of_second;
   std::vector<std::uint32_t> inc_offsets;
@@ -67,6 +68,7 @@ struct ProbeProblem {
       int b = static_cast<int>((e * 13 + 3) % gates);
       if (b == a) b = (b + 1) % static_cast<int>(gates);
       edges.emplace_back(a, b);
+      weights.push_back(static_cast<std::int32_t>(1 + e % 3));
     }
     // CSR incidence in ascending edge order per gate, matching
     // core/problem_view.h.
@@ -135,7 +137,7 @@ ProbeResult run_probe(const KernelTable& t, const ProbeProblem& p,
   t.aggregate(agg, 0, p.gates, r.bias_acc.data(), r.area_acc.data(),
               &r.f4_agg);
 
-  EdgeArgs ea{p.edges.data(), r.labels.data(), exponent};
+  EdgeArgs ea{p.edges.data(), r.labels.data(), exponent, p.weights.data()};
   r.f1 = t.f1_term(ea, 0, p.edges.size());
 
   r.slot_grad.assign(2 * p.edges.size(), 0.0);
@@ -146,7 +148,8 @@ ProbeResult run_probe(const KernelTable& t, const ProbeProblem& p,
                   r.slot_grad.data(),
                   exponent,
                   3.5,
-                  true};
+                  true,
+                  p.weights.data()};
   r.f1_grad = t.edge_grad(eg, 0, p.edges.size());
 
   // Plane diffs: any padded-to-stride values work for identity purposes.

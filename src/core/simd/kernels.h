@@ -71,17 +71,22 @@ using StepAggregateFn = void (*)(const AggregateArgs& args, double* w,
                                  double* bias_acc, double* area_acc,
                                  double* f4_acc);
 
-// F1 term only (no gradient): sum of |l_a - l_b|^p over edges
-// [begin, end), returned as the chunk partial.
+// F1 term only (no gradient): sum of w_e |l_a - l_b|^p over edges
+// [begin, end), returned as the chunk partial. The weight multiplies the
+// finished power (w * |dl|^p), so unit weights reproduce the unweighted
+// sum bit for bit.
 struct EdgeArgs {
   const std::pair<int, int>* edges = nullptr;
   const double* labels = nullptr;
   int exponent = 4;
+  const std::int32_t* weights = nullptr;  // per edge, never null
 };
 using F1TermFn = double (*)(const EdgeArgs& args, std::size_t begin,
                             std::size_t end);
 
-// F1 term + both signed per-endpoint gradient slots of every edge.
+// F1 term + both signed per-endpoint gradient slots of every edge. The
+// weight multiplies the finished term (w * |dl|^p) and the finished slot
+// magnitude (w * (p |dl|^(p-1) / N1)), one multiply each.
 struct EdgeGradArgs {
   const std::pair<int, int>* edges = nullptr;
   const double* labels = nullptr;
@@ -91,6 +96,7 @@ struct EdgeGradArgs {
   int exponent = 4;
   double n1 = 1.0;
   bool analytic = true;
+  const std::int32_t* weights = nullptr;  // per edge, never null
 };
 using EdgeGradFn = double (*)(const EdgeGradArgs& args, std::size_t begin,
                               std::size_t end);

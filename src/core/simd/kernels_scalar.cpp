@@ -102,7 +102,7 @@ double f1_term_scalar(const EdgeArgs& a, std::size_t begin, std::size_t end) {
     const auto& [ga, gb] = a.edges[e];
     const double delta = std::abs(a.labels[static_cast<std::size_t>(ga)] -
                                   a.labels[static_cast<std::size_t>(gb)]);
-    sum += ipow(delta, a.exponent);
+    sum += static_cast<double>(a.weights[e]) * ipow(delta, a.exponent);
   }
   return sum;
 }
@@ -116,17 +116,20 @@ double f1_term_scalar(const EdgeArgs& a, std::size_t begin, std::size_t end) {
 //    and the second takes `-signed_term` (IEEE negation is exact), so
 //    summing a gate's slots in ascending edge order replays the exact
 //    additions the scatter applied to dlabel[i].
+//  - The edge weight multiplies the finished term and magnitude, the
+//    same single multiply the scatter applies.
 double edge_grad_scalar(const EdgeGradArgs& a, std::size_t begin,
                         std::size_t end) {
   double sum = 0.0;
   for (std::size_t e = begin; e < end; ++e) {
     const auto& [ga, gb] = a.edges[e];
+    const double weight = static_cast<double>(a.weights[e]);
     const double delta = a.labels[static_cast<std::size_t>(ga)] -
                          a.labels[static_cast<std::size_t>(gb)];
     const double ad = std::abs(delta);
     const double chain = pow_chain(ad, a.exponent - 1);
-    sum += chain * ad;
-    const double magnitude = a.exponent * chain / a.n1;
+    sum += weight * (chain * ad);
+    const double magnitude = weight * (a.exponent * chain / a.n1);
     const double first =
         a.analytic ? (delta >= 0.0 ? magnitude : -magnitude)
                    : magnitude;  // eq. 10 as printed: unsigned, +first/-second

@@ -215,17 +215,20 @@ struct VecKernels {
     double sum = 0.0;
     alignas(64) double la[kL];
     alignas(64) double lb[kL];
+    alignas(64) double wb[kL];
     alignas(64) double vbuf[kL];
     std::size_t e = begin;
     for (; e + kL <= end; e += kL) {
       for (std::size_t j = 0; j < kL; ++j) {
         la[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].first)];
         lb[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].second)];
+        wb[j] = static_cast<double>(a.weights[e + j]);
       }
       const V delta = Ops::abs(Ops::sub(Ops::load(la), Ops::load(lb)));
       // ipow's multiply chain: result starts at 1.0 (1.0 * b == b).
       V value = Ops::set1(1.0);
       for (int t = 0; t < a.exponent; ++t) value = Ops::mul(value, delta);
+      value = Ops::mul(Ops::load(wb), value);
       Ops::store(vbuf, value);
       for (std::size_t j = 0; j < kL; ++j) sum += vbuf[j];
     }
@@ -233,7 +236,7 @@ struct VecKernels {
       const double delta = std::abs(
           a.labels[static_cast<std::size_t>(a.edges[e].first)] -
           a.labels[static_cast<std::size_t>(a.edges[e].second)]);
-      sum += ipow(delta, a.exponent);
+      sum += static_cast<double>(a.weights[e]) * ipow(delta, a.exponent);
     }
     return sum;
   }
@@ -247,29 +250,33 @@ struct VecKernels {
     const V n1_v = Ops::set1(a.n1);
     alignas(64) double la[kL];
     alignas(64) double lb[kL];
-    alignas(64) double cbuf[kL];
-    alignas(64) double abuf[kL];
+    alignas(64) double wb[kL];
+    alignas(64) double tbuf[kL];
     alignas(64) double fbuf[kL];
     std::size_t e = begin;
     for (; e + kL <= end; e += kL) {
       for (std::size_t j = 0; j < kL; ++j) {
         la[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].first)];
         lb[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].second)];
+        wb[j] = static_cast<double>(a.weights[e + j]);
       }
+      const V weight = Ops::load(wb);
       const V delta = Ops::sub(Ops::load(la), Ops::load(lb));
       const V ad = Ops::abs(delta);
       // pow_chain(ad, p-1)'s multiply sequence.
       V chain = Ops::set1(1.0);
       for (int t = 0; t < a.exponent - 1; ++t) chain = Ops::mul(chain, ad);
+      const V term = Ops::mul(weight, Ops::mul(chain, ad));
       if constexpr (kFast) {
-        sum_v = Ops::add(sum_v, Ops::mul(chain, ad));
+        sum_v = Ops::add(sum_v, term);
       } else {
-        Ops::store(cbuf, chain);
-        Ops::store(abuf, ad);
-        // Ordered extraction replays the scalar `sum += chain * ad` chain.
-        for (std::size_t j = 0; j < kL; ++j) sum += cbuf[j] * abuf[j];
+        Ops::store(tbuf, term);
+        // Ordered extraction replays the scalar `sum += w * (chain * ad)`
+        // chain.
+        for (std::size_t j = 0; j < kL; ++j) sum += tbuf[j];
       }
-      const V magnitude = Ops::div(Ops::mul(exp_v, chain), n1_v);
+      const V magnitude =
+          Ops::mul(weight, Ops::div(Ops::mul(exp_v, chain), n1_v));
       const V first =
           a.analytic ? Ops::select_ge0(delta, magnitude, Ops::neg(magnitude))
                      : magnitude;
@@ -286,12 +293,13 @@ struct VecKernels {
     }
     for (; e < end; ++e) {
       const auto& [ga, gb] = a.edges[e];
+      const double weight = static_cast<double>(a.weights[e]);
       const double delta = a.labels[static_cast<std::size_t>(ga)] -
                            a.labels[static_cast<std::size_t>(gb)];
       const double ad = std::abs(delta);
       const double chain = pow_chain_local(ad, a.exponent - 1);
-      sum += chain * ad;
-      const double magnitude = a.exponent * chain / a.n1;
+      sum += weight * (chain * ad);
+      const double magnitude = weight * (a.exponent * chain / a.n1);
       const double first =
           a.analytic ? (delta >= 0.0 ? magnitude : -magnitude) : magnitude;
       a.slot_grad[a.slot_of_first[e]] = first;

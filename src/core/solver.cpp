@@ -24,6 +24,18 @@ Status validate(const SolverConfig& config, const PartitionProblem& problem) {
   if (problem.num_gates < 1) {
     return Status::error("Solver: the problem has no partitionable gates");
   }
+  if (!problem.edge_weights.empty() &&
+      problem.edge_weights.size() != problem.edges.size()) {
+    return Status::error(str_format(
+        "Solver: edge_weights holds %zu weights for %zu edges",
+        problem.edge_weights.size(), problem.edges.size()));
+  }
+  for (const int weight : problem.edge_weights) {
+    if (weight < 1) {
+      return Status::error(str_format(
+          "Solver: edge weights must be >= 1 (got %d)", weight));
+    }
+  }
   if (config.restarts < 1) {
     return Status::error(
         str_format("Solver: restarts must be >= 1 (got %d)", config.restarts));

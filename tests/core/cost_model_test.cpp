@@ -52,6 +52,25 @@ TEST(CostModel, F1HandComputed) {
   EXPECT_NEAR(same.f1, 0.0, 1e-12);
 }
 
+TEST(CostModel, WeightedF1HandComputed) {
+  // Three gates, K=3: edge 0-1 of weight 3, edge 1-2 of weight 1.
+  PartitionProblem problem;
+  problem.num_gates = 3;
+  problem.num_planes = 3;
+  problem.bias = {1.0, 1.0, 1.0};
+  problem.area = {1.0, 1.0, 1.0};
+  problem.gate_ids = {0, 1, 2};
+  problem.edges = {{0, 1}, {1, 2}};
+  problem.edge_weights = {3, 1};
+  const CostModel model(problem, CostWeights{});
+  // N1 = (3 + 1) (K-1)^4 = 64.
+  EXPECT_EQ(model.n1(), 64.0);
+  // Only the weight-3 edge spans distance 2: F1 = 3 * 16 / 64.
+  EXPECT_NEAR(model.evaluate_discrete({0, 2, 2}).f1, 0.75, 1e-12);
+  // Only the weight-1 edge spans distance 2: F1 = 16 / 64.
+  EXPECT_NEAR(model.evaluate_discrete({0, 0, 2}).f1, 0.25, 1e-12);
+}
+
 TEST(CostModel, F2VarianceHandComputed) {
   // Three unit-bias gates on K=2 planes, split 2/1.
   PartitionProblem problem;
@@ -233,6 +252,29 @@ TEST(CostModel, GatherAndScatterEnginesAgreeOnGradients) {
   const PartitionProblem problem = tiny_problem(30, 5, 23, 55);
   CostModel model(problem, CostWeights{});
   Rng rng(12);
+  const Matrix w = random_soft_assignment(30, 5, rng);
+
+  Matrix gather;
+  model.set_gradient_engine(GradientEngine::kCsrGather);
+  const CostTerms gather_terms = model.evaluate_with_gradient(w, gather);
+  Matrix scatter;
+  model.set_gradient_engine(GradientEngine::kSerialScatter);
+  const CostTerms scatter_terms = model.evaluate_with_gradient(w, scatter);
+  EXPECT_EQ(gather, scatter);
+  EXPECT_EQ(gather_terms.f1, scatter_terms.f1);
+  EXPECT_EQ(gather_terms.f4, scatter_terms.f4);
+}
+
+// The scatter reference applies the edge weight the way the gather's
+// edge kernel does, so the two engines stay bit-identical on weighted
+// problems too.
+TEST(CostModel, GatherAndScatterEnginesAgreeOnWeightedProblems) {
+  PartitionProblem problem = tiny_problem(30, 5, 29, 55);
+  for (std::size_t e = 0; e < problem.edges.size(); ++e) {
+    problem.edge_weights.push_back(static_cast<int>(1 + e % 4));
+  }
+  CostModel model(problem, CostWeights{});
+  Rng rng(13);
   const Matrix w = random_soft_assignment(30, 5, rng);
 
   Matrix gather;

@@ -12,10 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/coarsen.h"
 #include "core/cost_model.h"
+#include "core/move_eval.h"
 #include "core/simd/dispatch.h"
 #include "core/soft_assign.h"
 #include "core/solver.h"
+#include "core/vcycle.h"
+#include "gen/scaled.h"
 #include "gen/suite.h"
 #include "util/rng.h"
 
@@ -276,6 +280,119 @@ TEST_F(SimdDispatchTest, EvaluateAndGradientTermsAgree) {
     EXPECT_EQ(eval.f2, with_grad.f2);
     EXPECT_EQ(eval.f3, with_grad.f3);
     EXPECT_EQ(eval.f4, with_grad.f4);
+  }
+}
+
+// A coarse level of a real circuit — parallel fine edges collapsed into
+// weighted edges — and its twin with every edge of weight w repeated w
+// times at unit weight. The two describe the same objective.
+struct WeightedPair {
+  PartitionProblem weighted;
+  PartitionProblem twin;
+};
+
+WeightedPair weighted_and_twin() {
+  const PartitionProblem fine =
+      PartitionProblem::from_netlist(build_mapped("c1355"), 5);
+  CoarsenOptions options;
+  options.coarse_target = 100;
+  options.max_levels = 2;
+  options.order = MatchOrder::kDegreeSorted;
+  const LevelStack stack = build_level_stack(fine, options);
+  WeightedPair pair;
+  pair.weighted = stack.coarsest(fine);
+  pair.twin = pair.weighted;
+  pair.twin.edges.clear();
+  pair.twin.edge_weights.clear();
+  for (std::size_t e = 0; e < pair.weighted.edges.size(); ++e) {
+    for (int copy = 0; copy < pair.weighted.edge_weight(e); ++copy) {
+      pair.twin.edges.push_back(pair.weighted.edges[e]);
+    }
+  }
+  return pair;
+}
+
+// Normwise relative error: the largest entrywise gap against the largest
+// entry, so entries that cancel to near zero do not inflate it.
+double normwise_gap(const std::vector<double>& a, const std::vector<double>& b) {
+  double gap = 0.0;
+  double scale = 1e-300;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    gap = std::max(gap, std::abs(a[i] - b[i]));
+    scale = std::max({scale, std::abs(a[i]), std::abs(b[i])});
+  }
+  return gap / scale;
+}
+
+// One weighted path everywhere: on every tier, a weighted problem's
+// terms, gradient and move deltas match its multiplicity-expanded twin
+// to 1e-12 relative (only the summation order of the F1 pieces differs).
+TEST_F(SimdDispatchTest, WeightedProblemMatchesExpandedTwin) {
+  const WeightedPair pair = weighted_and_twin();
+  ASSERT_LT(pair.weighted.edges.size(), pair.twin.edges.size());
+  const CostModel weighted(pair.weighted, CostWeights{});
+  const CostModel twin(pair.twin, CostWeights{});
+  EXPECT_EQ(weighted.n1(), twin.n1());
+  constexpr double kRelTol = 1e-12;
+
+  for (const Tier tier : available_tiers()) {
+    simd::force_tier_for_testing(tier);
+    Rng rng(31);
+    const Matrix w = random_soft_assignment(pair.weighted.num_gates,
+                                            pair.weighted.num_planes, rng);
+    const CostTerms ew = weighted.evaluate(w);
+    const CostTerms et = twin.evaluate(w);
+    EXPECT_LE(std::abs(ew.f1 - et.f1), kRelTol * std::abs(et.f1))
+        << simd::tier_name(tier);
+    EXPECT_EQ(ew.f2, et.f2);
+    EXPECT_EQ(ew.f3, et.f3);
+    EXPECT_EQ(ew.f4, et.f4);
+
+    Matrix gw, gt;
+    const CostTerms tw = weighted.evaluate_with_gradient(w, gw);
+    const CostTerms tt = twin.evaluate_with_gradient(w, gt);
+    EXPECT_LE(std::abs(tw.f1 - tt.f1), kRelTol * std::abs(tt.f1));
+    EXPECT_EQ(tw.f1, ew.f1);  // evaluate and the gradient path agree
+    const auto flat_w = gw.flat();
+    const auto flat_t = gt.flat();
+    EXPECT_LE(normwise_gap({flat_w.begin(), flat_w.end()},
+                           {flat_t.begin(), flat_t.end()}),
+              kRelTol)
+        << simd::tier_name(tier);
+
+    const std::vector<int> labels = harden(w);
+    const MoveEvaluator mw(weighted, labels);
+    const MoveEvaluator mt(twin, labels);
+    std::vector<double> dw, dt;
+    for (int gate = 0; gate < pair.weighted.num_gates; ++gate) {
+      for (int target = 0; target < pair.weighted.num_planes; ++target) {
+        dw.push_back(mw.delta(gate, target));
+        dt.push_back(mt.delta(gate, target));
+      }
+    }
+    EXPECT_LE(normwise_gap(dw, dt), kRelTol) << simd::tier_name(tier);
+  }
+}
+
+// The V-cycle's labels do not depend on the kernel tier: its coarse
+// descent runs on weighted coarse graphs, so this pins the weighted edge
+// kernels end to end.
+TEST_F(SimdDispatchTest, VcycleLabelsBitIdenticalAcrossTiers) {
+  ScaledParams params;
+  params.name = "scaled20k";
+  params.num_gates = 20000;
+  params.seed = 3;
+  const Netlist netlist = build_scaled(params);
+
+  simd::force_tier_for_testing(Tier::kScalar);
+  const VcycleResult reference = vcycle_partition(netlist, 5);
+  for (const Tier tier : available_tiers()) {
+    if (tier == Tier::kScalar) continue;
+    simd::force_tier_for_testing(tier);
+    const VcycleResult got = vcycle_partition(netlist, 5);
+    EXPECT_EQ(got.partition.plane_of, reference.partition.plane_of)
+        << simd::tier_name(tier);
+    EXPECT_EQ(got.discrete_total, reference.discrete_total);
   }
 }
 

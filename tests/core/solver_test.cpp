@@ -54,6 +54,29 @@ TEST(Solver, RejectsInvalidConfigWithStatusInsteadOfAsserting) {
   EXPECT_FALSE(Solver(bad_exponent).run(netlist).is_ok());
 }
 
+// Edge weights index by edge and scale N1, so a short array or a
+// non-positive weight is rejected before any CostModel reads them.
+TEST(Solver, RejectsMalformedEdgeWeights) {
+  PartitionProblem problem =
+      PartitionProblem::from_netlist(build_mapped("ksa4"), 3);
+  ASSERT_GE(problem.edges.size(), 2u);
+  SolverConfig config;
+  config.num_planes = 3;
+
+  problem.edge_weights.assign(problem.edges.size() - 1, 1);
+  const auto short_status = Solver(config).solve(problem);
+  ASSERT_FALSE(short_status.is_ok());
+  EXPECT_NE(short_status.status().message().find("edge_weights"),
+            std::string::npos);
+
+  problem.edge_weights.assign(problem.edges.size(), 1);
+  problem.edge_weights[1] = 0;
+  EXPECT_FALSE(Solver(config).solve(problem).is_ok());
+
+  problem.edge_weights[1] = 2;
+  EXPECT_TRUE(Solver(config).solve(problem).is_ok());
+}
+
 // inf passes a "> 0" check and nan passes nothing loudly; both used to
 // slip through validate() and poison every cost. parse_double accepts the
 // "inf"/"nan" spellings, so config plumbing can realistically produce
