@@ -28,8 +28,9 @@ class AnnealingAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     AnnealingOptions options;
     options.weights = context.weights;

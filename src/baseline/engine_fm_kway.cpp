@@ -26,8 +26,9 @@ class FmKwayAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     FmOptions options;
     options.seed = context.seed;

@@ -28,8 +28,9 @@ class RandomAdapter final : public EngineAdapter {
   bool self_observing() const override { return false; }
 
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     (void)counters;
     Partition partition = random_partition(netlist, context.num_planes,

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <unordered_set>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -29,6 +29,41 @@ double dist_pow(double d, int p) {
   for (int i = 0; i < p; ++i) result *= magnitude;
   return result;
 }
+
+// Insert-only set of undirected edge keys (lo << 32 | hi, lo < hi):
+// open addressing with linear probing in a power-of-two table sized up
+// front for `max_keys` inserts at load <= 1/2, so it never rehashes. The
+// all-ones word (lo == hi) is never a key and marks an empty slot.
+class EdgeKeySet {
+ public:
+  explicit EdgeKeySet(std::size_t max_keys) {
+    std::size_t capacity = std::size_t{1} << (64 - shift_);
+    while (capacity < 2 * max_keys) {
+      capacity <<= 1;
+      --shift_;
+    }
+    slots_.assign(capacity, kEmpty);
+  }
+
+  // True when `key` was absent (and is now present).
+  bool insert(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of key * 2^64/phi.
+    for (std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> slots_;
+  int shift_ = 60;  // 64 - log2(capacity)
+};
 
 }  // namespace
 
@@ -63,8 +98,12 @@ CertifiedInstance build_certified_instance(const Netlist& netlist,
 
   // The undirected connection set E, re-derived net by net with hash-set
   // deduplication (netlist.cpp sorts a vector; a shared dedup bug cannot
-  // survive two implementations).
-  std::unordered_set<std::uint64_t> seen;
+  // survive two implementations). Edges keep first-occurrence order.
+  std::size_t num_sinks = 0;
+  for (NetId n = 0; n < netlist.num_nets(); ++n) {
+    num_sinks += netlist.net(n).sinks.size();
+  }
+  EdgeKeySet seen(num_sinks);
   for (NetId n = 0; n < netlist.num_nets(); ++n) {
     const Net& net = netlist.net(n);
     if (net.driver.gate == kInvalidGate) continue;
@@ -80,7 +119,7 @@ CertifiedInstance build_certified_instance(const Netlist& netlist,
       const std::uint64_t key =
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) << 32) |
           static_cast<std::uint32_t>(hi);
-      if (seen.insert(key).second) instance.edges.emplace_back(lo, hi);
+      if (seen.insert(key)) instance.edges.emplace_back(lo, hi);
     }
   }
 

@@ -640,7 +640,7 @@ StatusOr<EngineRun> EngineAdapter::run(const Netlist& netlist,
                                  static_cast<double>(warm_assigned));
   }
   StatusOr<Partition> partition =
-      solve(netlist, inner, *compiled, warm, result.counters);
+      solve(netlist, problem, inner, *compiled, warm, result.counters);
   if (!partition) return partition.status();
   result.partition = *std::move(partition);
   result.wall_ms = std::chrono::duration<double, std::milli>(

@@ -23,7 +23,9 @@ class EngineAdapter : public PartitionEngine {
                           const EngineContext& context) const final;
 
  protected:
-  // The actual solve. `counters` receives the engine-specific tallies
+  // The actual solve. `problem` is the netlist compacted once for this
+  // run (engines that work on a PartitionProblem take it from here rather
+  // than rebuilding it). `counters` receives the engine-specific tallies
   // (iterations, moves_tried, final_cut, ...); the context's observer has
   // already been wrapped to rewrite the outermost RunInfo::engine to the
   // registry name. `constraints` is the context's pin/group declaration
@@ -35,8 +37,9 @@ class EngineAdapter : public PartitionEngine {
   // context has no warm start — engines must then behave bit-identically
   // to the cold code path.
   virtual StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& problem,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const = 0;
 
   // False for engines whose underlying implementation emits no observer

@@ -74,8 +74,9 @@ class EcoAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& problem,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     if (warm == nullptr) {
       return Status::invalid_argument(
@@ -86,8 +87,6 @@ class EcoAdapter final : public EngineAdapter {
     using Clock = std::chrono::steady_clock;
     const Clock::time_point eco_start = Clock::now();
 
-    const PartitionProblem problem =
-        PartitionProblem::from_netlist(netlist, context.num_planes);
     const int n = problem.num_gates;
     const int k = context.num_planes;
     std::vector<int> labels = *warm;
@@ -200,11 +199,11 @@ class EcoAdapter final : public EngineAdapter {
       scratch.refine.max_passes = context.max_passes;
       scratch.fixed = constraints.compact_or_null();
       const VcycleResult cold =
-          vcycle_partition(netlist, context.num_planes, scratch);
+          vcycle_partition(problem, netlist.num_gates(), scratch);
       const double scratch_ms = std::chrono::duration<double, std::milli>(
                                     Clock::now() - scratch_start)
                                     .count();
-      const double eco_cost = stats.cost_after;
+      const double eco_cost = eval.current_cost();
       counters.emplace_back("scratch_ms", scratch_ms);
       counters.emplace_back("eco_ms", eco_ms);
       counters.emplace_back("speedup_vs_scratch",

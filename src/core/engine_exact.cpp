@@ -55,8 +55,9 @@ class ExactAdapter final : public EngineAdapter {
   bool self_observing() const override { return false; }
 
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     const CertifiedInstance inst =
         build_certified_instance(netlist, context.num_planes, context.weights);

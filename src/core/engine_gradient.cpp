@@ -30,8 +30,9 @@ class GradientAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& problem,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     SolverConfig config;
     config.num_planes = context.num_planes;
@@ -44,7 +45,8 @@ class GradientAdapter final : public EngineAdapter {
     config.observer = context.observer;
     config.fixed_labels = constraints.compact_or_null();
     config.warm_labels = warm;
-    StatusOr<SolverResult> result = Solver(std::move(config)).run(netlist);
+    StatusOr<SolverResult> result =
+        Solver(std::move(config)).run(problem, netlist.num_gates());
     if (!result) return result.status();
     counters.emplace_back("iterations", result->iterations);
     counters.emplace_back("winning_restart", result->winning_restart);

@@ -29,8 +29,9 @@ class MultilevelAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     MultilevelOptions options;
     // Only the driver seed is threaded through; the coarse solve keeps its

@@ -37,8 +37,9 @@ class VcycleAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const EngineContext& context,
-      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      const Netlist& netlist, const PartitionProblem& problem,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     VcycleOptions options;
     options.seed = context.seed;
@@ -56,7 +57,7 @@ class VcycleAdapter final : public EngineAdapter {
                                ? VcycleRefineStyle::kBuckets
                                : VcycleRefineStyle::kBanded;
     VcycleResult result =
-        vcycle_partition(netlist, context.num_planes, options);
+        vcycle_partition(problem, netlist.num_gates(), options);
     counters.emplace_back("levels", result.levels);
     counters.emplace_back("coarse_gates", result.coarse_gates);
     counters.emplace_back("refine_moves",

@@ -1,7 +1,8 @@
 #include "core/move_eval.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <cstdlib>
 #include <numeric>
 
 namespace sfqpart {
@@ -41,26 +42,52 @@ MoveEvaluator::MoveEvaluator(const CostModel& model, std::vector<int> labels)
   mean_area_ = std::accumulate(plane_area_.begin(), plane_area_.end(), 0.0) /
                num_planes_;
   const CostWeights& weights = model.weights();
+  dist_pow_.resize(static_cast<std::size_t>(num_planes_));
+  for (int d = 0; d < num_planes_; ++d) {
+    dist_pow_[static_cast<std::size_t>(d)] =
+        ipow(static_cast<double>(d), weights.distance_exponent);
+  }
   f1_coef_ = weights.c1 / model.n1();
   f2_coef_ = weights.c2 / (num_planes_ * model.n2());
   f3_coef_ = weights.c3 / (num_planes_ * model.n3());
 }
 
 double MoveEvaluator::delta(int gate, int target) const {
+  if (labels_[static_cast<std::size_t>(gate)] == target) return 0.0;
+  double f1 = 0.0;
+  add_f1(gate, target, target, &f1);
+  return delta_from_f1(gate, target, f1);
+}
+
+void MoveEvaluator::f1_deltas(int gate, int band, double* out) const {
+  const TargetBand targets =
+      target_band(labels_[static_cast<std::size_t>(gate)], band, num_planes_);
+  std::fill(out, out + targets.count(), 0.0);
+  add_f1(gate, targets.first, targets.last, out);
+}
+
+void MoveEvaluator::add_f1(int gate, int first, int last, double* out) const {
   const auto ug = static_cast<std::size_t>(gate);
   const int source = labels_[ug];
-  if (source == target) return 0.0;
-  const PartitionProblem& problem = model_->problem();
-  const int p = model_->weights().distance_exponent;
-
-  double result = 0.0;
+  const double* dist_pow = dist_pow_.data();
   for (std::uint32_t s = neighbor_offsets_[ug]; s < neighbor_offsets_[ug + 1];
        ++s) {
     const int lj = labels_[static_cast<std::size_t>(neighbor_adj_[s])];
-    result += f1_coef_ *
-              (static_cast<double>(neighbor_weight_[s]) *
-               (ipow(std::abs(target - lj), p) - ipow(std::abs(source - lj), p)));
+    const double weight = static_cast<double>(neighbor_weight_[s]);
+    const double from = dist_pow[std::abs(source - lj)];
+    double* slot = out;
+    for (int target = first; target <= last; ++target) {
+      if (target == source) continue;
+      *slot++ += f1_coef_ * (weight * (dist_pow[std::abs(target - lj)] - from));
+    }
   }
+}
+
+double MoveEvaluator::delta_from_f1(int gate, int target, double f1) const {
+  const auto ug = static_cast<std::size_t>(gate);
+  const int source = labels_[ug];
+  assert(source != target);
+  const PartitionProblem& problem = model_->problem();
   auto variance_delta = [](double from, double to, double moved, double mean) {
     const double from_old = from - mean;
     const double to_old = to - mean;
@@ -69,6 +96,7 @@ double MoveEvaluator::delta(int gate, int target) const {
   };
   const auto us = static_cast<std::size_t>(source);
   const auto ut = static_cast<std::size_t>(target);
+  double result = f1;
   result += f2_coef_ * variance_delta(plane_bias_[us], plane_bias_[ut],
                                       problem.bias[ug], mean_bias_);
   result += f3_coef_ * variance_delta(plane_area_[us], plane_area_[ut],

@@ -3,8 +3,16 @@
 // assignments). Shared by the greedy refinement pass, the simulated
 // annealer and the multilevel refiner: delta() is O(degree), apply() is
 // O(1).
+//
+// A move's delta splits in two. The F1 part is a sum over the gate's own
+// edges and changes only when the gate or a neighbor moves; the F2/F3
+// part reads only the K per-plane bias and area totals. f1_deltas() and
+// delta_from_f1() expose the split so a refiner can cache the F1 part
+// (DESIGN.md section 12.3); delta() is their composition, so every path
+// yields the same bits.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -12,6 +20,26 @@
 #include "core/cost_model.h"
 
 namespace sfqpart {
+
+// The planes a band-limited move of a gate on plane `source` may target:
+// [first, last] except `source` itself, ascending. band <= 0 lifts the
+// limit (every plane).
+struct TargetBand {
+  int first = 0;
+  int last = -1;
+
+  // Number of targets (`source` always lies in [first, last]).
+  int count() const { return last - first; }
+  // Position of `target` among the targets.
+  int slot(int source, int target) const {
+    return target - first - (target > source ? 1 : 0);
+  }
+};
+
+inline TargetBand target_band(int source, int band, int num_planes) {
+  if (band <= 0) return {0, num_planes - 1};
+  return {std::max(0, source - band), std::min(num_planes - 1, source + band)};
+}
 
 class MoveEvaluator {
  public:
@@ -26,6 +54,15 @@ class MoveEvaluator {
 
   // Weighted-cost change of moving `gate` to `target` (0 when already there).
   double delta(int gate, int target) const;
+
+  // F1 part of delta() for every target of target_band(label(gate), band):
+  // one walk over the gate's neighbors, out[j] for the j-th target. Each
+  // partial accumulates in the order delta() uses.
+  void f1_deltas(int gate, int band, double* out) const;
+
+  // delta(gate, target) given its F1 part: adds the F2 term, then the F3
+  // term, against the current plane totals. `target` != label(gate).
+  double delta_from_f1(int gate, int target, double f1) const;
 
   // Commits the move, updating the incremental aggregates.
   void apply(int gate, int target);
@@ -45,6 +82,10 @@ class MoveEvaluator {
   }
 
  private:
+  // Adds the F1 part of moving `gate` to each plane of [first, last]
+  // except its own into consecutive out[] slots, neighbor by neighbor.
+  void add_f1(int gate, int first, int last, double* out) const;
+
   const CostModel* model_;
   std::vector<int> labels_;
   int num_planes_;
@@ -58,6 +99,8 @@ class MoveEvaluator {
   const std::uint32_t* neighbor_offsets_;  // size G + 1
   const std::int32_t* neighbor_adj_;       // size 2|E|
   const std::int32_t* neighbor_weight_;    // size 2|E|, the slot's w_e
+  // dist_pow_[d] = d^p for d in [0, K): the only powers F1 ever takes.
+  std::vector<double> dist_pow_;
   std::vector<double> plane_bias_;
   std::vector<double> plane_area_;
   double mean_bias_ = 0.0;

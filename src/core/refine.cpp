@@ -99,16 +99,20 @@ BucketRefineStats bucket_refine(MoveEvaluator& eval, int band,
   }
 
   // Best strictly-improving in-band move of one gate ({0, -1} when none);
-  // gain ties resolve to the lowest target plane.
+  // gain ties resolve to the lowest target plane. One neighbor walk
+  // yields the F1 part of every in-band target.
+  std::vector<double> f1(static_cast<std::size_t>(k));
   const auto best_move = [&](int gate) -> QueuedMove {
     const int source = eval.label(gate);
-    const int lo = band > 0 ? std::max(0, source - band) : 0;
-    const int hi = band > 0 ? std::min(k - 1, source + band) : k - 1;
+    const TargetBand targets = target_band(source, band, k);
+    eval.f1_deltas(gate, band, f1.data());
     double best_delta = kBucketImprovementThreshold;
     int best = -1;
-    for (int target = lo; target <= hi; ++target) {
+    for (int target = targets.first, j = 0; target <= targets.last;
+         ++target) {
       if (target == source) continue;
-      const double delta = eval.delta(gate, target);
+      const double delta = eval.delta_from_f1(
+          gate, target, f1[static_cast<std::size_t>(j++)]);
       if (delta < best_delta) {
         best_delta = delta;
         best = target;
@@ -162,7 +166,6 @@ BucketRefineStats bucket_refine(MoveEvaluator& eval, int band,
       }
     }
   }
-  stats.cost_after = eval.current_cost();
   return stats;
 }
 

@@ -45,8 +45,7 @@ RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
 
 struct BucketRefineStats {
   long long moves = 0;
-  long long stale_pops = 0;   // lazy-queue entries discarded as outdated
-  double cost_after = 0.0;    // exact re-evaluation of the final labels
+  long long stale_pops = 0;  // lazy-queue entries discarded as outdated
 };
 
 // FM-style best-gain refinement: a lazy priority queue pops the single
@@ -60,7 +59,8 @@ struct BucketRefineStats {
 // listed compact indices — the eco engine's dirty region. Applied moves
 // are capped at options.max_passes * movable-gate-count so a pathological
 // gain surface cannot spin forever; each applied move strictly improves
-// the cost, so the labels never regress.
+// the cost, so the labels never regress. The final labels are not
+// re-scored: callers that need the cost ask eval.current_cost().
 BucketRefineStats bucket_refine(MoveEvaluator& eval, int band,
                                 const RefineOptions& options,
                                 const std::vector<int>* fixed = nullptr,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdint>
 #include <vector>
 
 #include "core/coarsen.h"
@@ -29,22 +30,28 @@ constexpr double kImprovementThreshold = -1e-12;
 // Proposal grain: coarse levels collapse to one chunk (inline), only the
 // 10^5+-gate levels actually fan out.
 constexpr std::size_t kProposalGrain = 2048;
-// Rough ns per gate of a proposal: a handful of delta() evaluations,
-// each walking the gate's CSR neighbor range.
+// Rough ns per gate of a proposal: a walk of the gate's CSR neighbor
+// range when its cached F1 partials are stale, plus O(1) F2/F3 terms per
+// in-band target.
 constexpr double kProposalItemCost = 60.0;
 
 // One parallel proposal sweep: for every gate, the best strictly
 // improving move within the gain band, evaluated against the frozen
-// pass-start labels. delta() only reads the (const) evaluator state and
-// proposal writes are element-wise, so the sweep is bit-identical at any
-// thread count.
+// pass-start labels and plane totals. A stale gate first refills its F1
+// cache row with one neighbor walk; every gate then adds the O(1) F2/F3
+// terms to its cached partials. The evaluator is only read, and a chunk
+// writes only its own gates' proposal, cache row and stale byte, so the
+// sweep is bit-identical at any thread count.
 struct ProposalKernel {
   const MoveEvaluator* eval;
   const int* labels;
+  const int* fixed;  // per-gate fixed plane (-1 = free); null when none
   std::int32_t* proposal;
+  double* f1_cache;  // `slots` F1 partials per gate
+  std::uint8_t* stale;
+  int slots;
   int band;
   int num_planes;
-  const int* fixed;  // per-gate fixed plane (-1 = free); null when none
 
   void operator()(std::size_t, std::size_t begin, std::size_t end) const {
     for (std::size_t i = begin; i < end; ++i) {
@@ -53,14 +60,19 @@ struct ProposalKernel {
         proposal[i] = -1;
         continue;
       }
+      double* f1 = f1_cache + i * static_cast<std::size_t>(slots);
+      if (stale[i] != 0) {
+        eval->f1_deltas(gate, band, f1);
+        stale[i] = 0;
+      }
       const int source = labels[i];
-      const int lo = std::max(0, source - band);
-      const int hi = std::min(num_planes - 1, source + band);
+      const TargetBand targets = target_band(source, band, num_planes);
       int best = -1;
       double best_delta = kImprovementThreshold;
-      for (int target = lo; target <= hi; ++target) {
+      for (int target = targets.first, j = 0; target <= targets.last;
+           ++target) {
         if (target == source) continue;
-        const double delta = eval->delta(gate, target);
+        const double delta = eval->delta_from_f1(gate, target, f1[j++]);
         if (delta < best_delta) {
           best_delta = delta;
           best = target;
@@ -71,66 +83,93 @@ struct ProposalKernel {
   }
 };
 
-struct BandedRefineStats {
-  int passes = 0;
-  long long moves = 0;
-  double cost_after = 0.0;  // full re-evaluation of the final labels
-};
-
-// Propose in parallel, commit serially in ascending gate order. The
-// commit re-evaluates each proposal against the labels as they evolve
-// within the pass, applying only the still-improving ones — proposals
-// invalidated by an earlier commit are simply skipped, and the applied
-// delta sequence (hence the final labels) never depends on how the
-// proposal sweep was chunked across threads.
-BandedRefineStats banded_refine(MoveEvaluator& eval, int band,
-                                const RefineOptions& options, ThreadPool* pool,
-                                double cost_before,
-                                const std::vector<int>* fixed) {
+// Propose in parallel, commit serially in ascending gate order; returns
+// the committed move count. The commit re-evaluates each proposal against
+// the labels as they evolve within the pass, applying only the
+// still-improving ones — proposals invalidated by an earlier commit are
+// simply skipped, and the applied delta sequence (hence the final labels)
+// never depends on how the proposal sweep was chunked across threads.
+//
+// Gain cache (DESIGN.md section 12.3): each gate keeps the F1 partials of
+// its in-band targets. A commit marks the moved gate and its neighbors
+// stale — the only gates whose F1 partials it changes — and only stale
+// gates walk their neighbors again. A clean gate's cached partial equals
+// a fresh walk bit for bit (same labels, same accumulation order), so the
+// commit re-checks a clean gate's proposal from the cache and falls back
+// to delta() once the gate or a neighbor has moved in this pass.
+long long banded_refine(MoveEvaluator& eval, int band,
+                        const RefineOptions& options, ThreadPool* pool,
+                        const std::vector<int>* fixed) {
+  if (band < 1) return 0;  // no in-band target
   const int n = eval.num_gates();
   const int k = eval.num_planes();
-  BandedRefineStats stats;
-  stats.cost_after = cost_before;
+  // A gate has at most 2 * band in-band targets, and at most K - 1.
+  const int slots = std::min(2 * std::min(band, k), k - 1);
   std::vector<std::int32_t> proposal(static_cast<std::size_t>(n));
+  std::vector<double> f1_cache(static_cast<std::size_t>(n) *
+                               static_cast<std::size_t>(slots));
+  std::vector<std::uint8_t> stale(static_cast<std::size_t>(n), 1);
+  const ProposalKernel kernel{&eval,
+                              eval.labels().data(),
+                              fixed != nullptr ? fixed->data() : nullptr,
+                              proposal.data(),
+                              f1_cache.data(),
+                              stale.data(),
+                              slots,
+                              band,
+                              k};
+  // The cached F1 partial of a clean gate's move to `target`.
+  const auto cached_f1 = [&](int gate, int target) {
+    const int source = eval.label(gate);
+    const auto slot = static_cast<std::size_t>(
+        target_band(source, band, k).slot(source, target));
+    return f1_cache[static_cast<std::size_t>(gate) *
+                        static_cast<std::size_t>(slots) +
+                    slot];
+  };
+  long long total_moves = 0;
   for (int pass = 0; pass < options.max_passes; ++pass) {
-    ProposalKernel kernel{&eval,
-                          eval.labels().data(),
-                          proposal.data(),
-                          band,
-                          k,
-                          fixed != nullptr ? fixed->data() : nullptr};
     parallel_chunks(pool, static_cast<std::size_t>(n), kProposalGrain, kernel,
                     kProposalItemCost);
     int moves = 0;
     for (int gate = 0; gate < n; ++gate) {
-      const int target = proposal[static_cast<std::size_t>(gate)];
+      const auto ug = static_cast<std::size_t>(gate);
+      const int target = proposal[ug];
       if (target < 0) continue;
-      const double delta = eval.delta(gate, target);
+      const double delta =
+          stale[ug] != 0
+              ? eval.delta(gate, target)
+              : eval.delta_from_f1(gate, target, cached_f1(gate, target));
       if (delta < kImprovementThreshold) {
         eval.apply(gate, target);
         ++moves;
+        stale[ug] = 1;
+        const auto [begin, end] = eval.neighbors(gate);
+        for (const std::int32_t* it = begin; it != end; ++it) {
+          stale[static_cast<std::size_t>(*it)] = 1;
+        }
       }
     }
-    ++stats.passes;
-    stats.moves += moves;
+    total_moves += moves;
     if (moves < options.min_moves_per_pass) break;
   }
-  // Re-score the final labels instead of accumulating committed deltas
-  // onto cost_before: summed deltas drift from the true cost in floating
-  // point over many passes, and the level report must agree with what a
-  // fresh evaluation of the labels says.
-  if (stats.moves > 0) stats.cost_after = eval.current_cost();
-  return stats;
+  return total_moves;
 }
 
 }  // namespace
 
 VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
                               const VcycleOptions& options) {
+  return vcycle_partition(PartitionProblem::from_netlist(netlist, num_planes),
+                          netlist.num_gates(), options);
+}
+
+VcycleResult vcycle_partition(const PartitionProblem& finest,
+                              int netlist_num_gates,
+                              const VcycleOptions& options) {
+  const int num_planes = finest.num_planes;
   assert(num_planes >= 2);
   obs::TraceSink sink(options.observer);
-
-  PartitionProblem finest = PartitionProblem::from_netlist(netlist, num_planes);
 
   if (sink.enabled()) {
     obs::RunInfo info;
@@ -255,20 +294,28 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
                       options.coarse.gradient_style);
       model.set_thread_pool(pool.get());
       MoveEvaluator eval(model, std::move(fine_labels));
-      const double projected_cost = eval.current_cost();
-      BandedRefineStats stats;
-      if (options.refine_style == VcycleRefineStyle::kBuckets) {
-        const BucketRefineStats bucket =
-            bucket_refine(eval, options.band, options.refine, fine_fixed);
-        stats.moves = bucket.moves;
-        stats.cost_after = bucket.cost_after;
-      } else {
-        stats = banded_refine(eval, options.band, options.refine, pool.get(),
-                              projected_cost, fine_fixed);
-      }
-      result.refine_moves += stats.moves;
+      // Level scoring feeds only the LevelEvent, so it is paid only when
+      // traced (DESIGN.md section 8.3); the finest level's score is the
+      // result's discrete_total either way.
+      const double projected_cost = sink.enabled() ? eval.current_cost() : 0.0;
+      const long long moves =
+          options.refine_style == VcycleRefineStyle::kBuckets
+              ? bucket_refine(eval, options.band, options.refine, fine_fixed)
+                    .moves
+              : banded_refine(eval, options.band, options.refine, pool.get(),
+                              fine_fixed);
+      result.refine_moves += moves;
       labels = eval.labels();
 
+      // Re-score the labels rather than summing the committed deltas onto
+      // the projected cost: the sum drifts from a fresh evaluation in
+      // floating point. Unmoved labels keep their projected score.
+      double refined_cost = 0.0;
+      if (sink.enabled() || i == 0) {
+        refined_cost = sink.enabled() && moves == 0 ? projected_cost
+                                                    : eval.current_cost();
+      }
+      if (i == 0) result.discrete_total = refined_cost;
       if (sink.enabled()) {
         obs::LevelEvent event;
         event.level = static_cast<int>(i);
@@ -276,15 +323,16 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
         event.num_edges = static_cast<long long>(fine.edges.size());
         event.refine_ms = ms_since(level_start);
         event.projected_cost = projected_cost;
-        event.refined_cost = stats.cost_after;
-        event.refine_moves = static_cast<int>(stats.moves);
+        event.refined_cost = refined_cost;
+        event.refine_moves = static_cast<int>(moves);
         sink.level(event);
       }
     }
   }
 
-  result.partition = finest.to_partition(labels, netlist.num_gates());
-  {
+  result.partition = finest.to_partition(labels, netlist_num_gates);
+  if (stack.levels.empty()) {
+    // No uncoarsening level scored the finest labels.
     CostModel model(finest, options.coarse.weights);
     model.set_thread_pool(pool.get());
     result.discrete_total =

@@ -25,7 +25,9 @@
 // count), then a serial commit in ascending gate order re-checks each
 // proposal against the evolving labels and applies the still-improving
 // ones. Labels are therefore bit-identical at 1, 2 or 64 threads,
-// honoring the repo's determinism contract (DESIGN.md section 7).
+// honoring the repo's determinism contract (DESIGN.md section 7). Each
+// gate caches the F1 part of its in-band move gains, and only gates whose
+// neighborhood moved walk their neighbors again (DESIGN.md section 12.3).
 #pragma once
 
 #include "core/solver.h"
@@ -97,6 +99,13 @@ struct VcycleResult {
 };
 
 VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
+                              const VcycleOptions& options = {});
+
+// Same, on an already-built finest problem (K = problem.num_planes): the
+// registry adapter passes the problem it compacted once per run.
+// `netlist_num_gates` sizes the returned Partition.
+VcycleResult vcycle_partition(const PartitionProblem& problem,
+                              int netlist_num_gates,
                               const VcycleOptions& options = {});
 
 }  // namespace sfqpart

@@ -6,14 +6,19 @@
 // moved label, out-of-range plane, wrong plane count, wrong cost claim,
 // violated pin — produces its specific structured verdict instead of an
 // assert.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/cost_model.h"
 #include "core/engine.h"
+#include "gen/scaled.h"
 #include "gen/suite.h"
 #include "metrics/partition_metrics.h"
 #include "netlist/netlist.h"
@@ -264,6 +269,91 @@ TEST(Certify, AdapterRecordsVerdictCounters) {
   EXPECT_EQ(run->counter("certified"), 1.0);
   EXPECT_EQ(run->counter("certify_verdict"),
             static_cast<double>(CertifyVerdict::kValid));
+}
+
+// The certifier's edge set, in compact indices, sorted — against the
+// netlist's own sort-based unique_edges().
+void expect_dedup_matches_unique_edges(const Netlist& netlist) {
+  const CertifiedInstance instance =
+      build_certified_instance(netlist, 3, CostWeights{});
+  std::vector<std::pair<int, int>> derived = instance.edges;
+  std::sort(derived.begin(), derived.end());
+  std::vector<std::pair<int, int>> reference;
+  for (const Connection& edge : netlist.unique_edges()) {
+    const int a = instance.compact_of_gate[static_cast<std::size_t>(edge.from)];
+    const int b = instance.compact_of_gate[static_cast<std::size_t>(edge.to)];
+    reference.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  std::sort(reference.begin(), reference.end());
+  EXPECT_EQ(derived, reference);
+}
+
+// A splitter feeding both inputs of one merge: two nets, one edge.
+TEST(CertifyDedup, SplitterIntoBothMergeInputsIsOneEdge) {
+  Netlist netlist;
+  const GateId a = netlist.add_gate_of_kind("a", CellKind::kJtl);
+  const GateId split = netlist.add_gate_of_kind("s", CellKind::kSplit);
+  const GateId merge = netlist.add_gate_of_kind("m", CellKind::kMerge);
+  netlist.connect(a, 0, split, 0);
+  netlist.connect(split, 0, merge, 0);
+  netlist.connect(split, 1, merge, 1);
+  expect_dedup_matches_unique_edges(netlist);
+  EXPECT_EQ(build_certified_instance(netlist, 3, CostWeights{}).edges.size(),
+            2u);
+}
+
+// a -> b and b -> a: one undirected edge.
+TEST(CertifyDedup, TwoGateLoopIsOneEdge) {
+  Netlist netlist;
+  const GateId a = netlist.add_gate_of_kind("a", CellKind::kJtl);
+  const GateId b = netlist.add_gate_of_kind("b", CellKind::kJtl);
+  netlist.connect(a, 0, b, 0);
+  netlist.connect(b, 0, a, 0);
+  expect_dedup_matches_unique_edges(netlist);
+  EXPECT_EQ(build_certified_instance(netlist, 3, CostWeights{}).edges.size(),
+            1u);
+}
+
+// A gate driving its own input carries no cost and is no edge.
+TEST(CertifyDedup, SelfLoopIsNoEdge) {
+  Netlist netlist;
+  const GateId a = netlist.add_gate_of_kind("a", CellKind::kJtl);
+  const GateId merge = netlist.add_gate_of_kind("m", CellKind::kMerge);
+  netlist.connect(a, 0, merge, 0);
+  netlist.connect(merge, 0, merge, 1);
+  expect_dedup_matches_unique_edges(netlist);
+  EXPECT_EQ(build_certified_instance(netlist, 3, CostWeights{}).edges.size(),
+            1u);
+}
+
+// On a generated chip the table keeps every distinct edge once, in the
+// order of its first sink (a std::set replay of the same walk).
+TEST(CertifyDedup, KeepsFirstOccurrenceOrderOnAScaledChip) {
+  ScaledParams params;
+  params.num_gates = 5000;
+  params.seed = 4;
+  const Netlist netlist = build_scaled(params);
+  expect_dedup_matches_unique_edges(netlist);
+
+  const CertifiedInstance instance =
+      build_certified_instance(netlist, 5, CostWeights{});
+  std::set<std::pair<int, int>> seen;
+  std::vector<std::pair<int, int>> first_order;
+  for (NetId n = 0; n < netlist.num_nets(); ++n) {
+    const Net& net = netlist.net(n);
+    if (net.driver.gate == kInvalidGate) continue;
+    const int from =
+        instance.compact_of_gate[static_cast<std::size_t>(net.driver.gate)];
+    if (from < 0) continue;
+    for (const PinRef& sink : net.sinks) {
+      const int to =
+          instance.compact_of_gate[static_cast<std::size_t>(sink.gate)];
+      if (to < 0 || to == from) continue;
+      const std::pair<int, int> edge{std::min(from, to), std::max(from, to)};
+      if (seen.insert(edge).second) first_order.push_back(edge);
+    }
+  }
+  EXPECT_EQ(instance.edges, first_order);
 }
 
 }  // namespace

@@ -1,7 +1,15 @@
 #include "core/move_eval.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "core/coarsen.h"
+#include "core/problem_view.h"
+#include "gen/scaled.h"
 #include "util/rng.h"
 
 namespace sfqpart {
@@ -150,6 +158,107 @@ TEST(MoveEvaluator, DeltaRespectsDistanceExponent) {
   // Moving gate 1 to plane 3: distance 0 -> 3, cost (3/3)^4 / 1 = 1.
   EXPECT_NEAR(eval.delta(1, 3), 1.0, 1e-12);
   EXPECT_NEAR(eval.delta(1, 1), 1.0 / 81.0, 1e-12);
+}
+
+// The split evaluation the banded refiner's gain cache relies on: one
+// neighbor walk's F1 partials plus delta_from_f1()'s F2/F3 terms must
+// reproduce delta() bit for bit, for every gate and in-band target. Run
+// on a netlist problem (unit weights) and a weighted coarse level, after
+// a few moves so the plane totals are not the initial ones.
+struct SplitCase {
+  int num_planes;
+  int band;  // 0 = K - 1
+  bool coarse;
+};
+
+std::string split_case_name(const SplitCase& c) {
+  return "K" + std::to_string(c.num_planes) + "_band" +
+         (c.band == 0 ? std::string("Kminus1") : std::to_string(c.band)) +
+         (c.coarse ? "_coarse" : "_netlist");
+}
+
+void PrintTo(const SplitCase& c, std::ostream* os) {
+  *os << split_case_name(c);
+}
+
+class MoveEvalSplit : public ::testing::TestWithParam<SplitCase> {};
+
+TEST_P(MoveEvalSplit, F1PartialsPlusPlaneTermsEqualDeltaBitwise) {
+  const SplitCase& c = GetParam();
+  const int k = c.num_planes;
+  const int band = c.band == 0 ? k - 1 : c.band;
+  ScaledParams params;
+  params.num_gates = 3000;
+  params.seed = 9;
+  const PartitionProblem netlist_problem =
+      PartitionProblem::from_netlist(build_scaled(params), k);
+  const ProblemView netlist_view(netlist_problem);
+  const CoarseLevel coarse =
+      coarsen_once(netlist_view, MatchOrder::kDegreeSorted);
+  const PartitionProblem& problem = c.coarse ? coarse.problem : netlist_problem;
+  if (c.coarse) {
+    ASSERT_FALSE(problem.edge_weights.empty());
+    ASSERT_GT(*std::max_element(problem.edge_weights.begin(),
+                                problem.edge_weights.end()),
+              1);
+  }
+  const CostModel model(problem, CostWeights{});
+  Rng rng(static_cast<std::uint64_t>(31 * k + band));
+  MoveEvaluator eval(model, random_labels(problem.num_gates, k, rng));
+  for (int move = 0; move < 50; ++move) {
+    eval.apply(static_cast<int>(rng.uniform_index(
+                   static_cast<std::uint64_t>(problem.num_gates))),
+               static_cast<int>(rng.uniform_index(
+                   static_cast<std::uint64_t>(k))));
+  }
+
+  std::vector<double> f1(static_cast<std::size_t>(k));
+  long long checked = 0;
+  for (int gate = 0; gate < problem.num_gates; ++gate) {
+    const int source = eval.label(gate);
+    const TargetBand targets = target_band(source, band, k);
+    eval.f1_deltas(gate, band, f1.data());
+    int j = 0;
+    for (int target = targets.first; target <= targets.last; ++target) {
+      if (target == source) continue;
+      ASSERT_EQ(targets.slot(source, target), j);
+      const double split =
+          eval.delta_from_f1(gate, target, f1[static_cast<std::size_t>(j++)]);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(split),
+                std::bit_cast<std::uint64_t>(eval.delta(gate, target)))
+          << "gate " << gate << " -> " << target;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, static_cast<long long>(problem.num_gates));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bands, MoveEvalSplit,
+    ::testing::Values(SplitCase{2, 1, false}, SplitCase{2, 1, true},
+                      SplitCase{5, 1, false}, SplitCase{5, 2, false},
+                      SplitCase{5, 0, false}, SplitCase{5, 1, true},
+                      SplitCase{5, 2, true}, SplitCase{5, 0, true},
+                      SplitCase{8, 1, false}, SplitCase{8, 2, false},
+                      SplitCase{8, 0, false}, SplitCase{8, 1, true},
+                      SplitCase{8, 2, true}, SplitCase{8, 0, true}),
+    [](const ::testing::TestParamInfo<SplitCase>& info) {
+      return split_case_name(info.param);
+    });
+
+// band <= 0 lifts the limit: every other plane is a target.
+TEST(MoveEvaluator, TargetBandClipsToThePlaneRange) {
+  EXPECT_EQ(target_band(0, 1, 5).first, 0);
+  EXPECT_EQ(target_band(0, 1, 5).last, 1);
+  EXPECT_EQ(target_band(0, 1, 5).count(), 1);
+  EXPECT_EQ(target_band(2, 1, 5).count(), 2);
+  EXPECT_EQ(target_band(4, 2, 5).first, 2);
+  EXPECT_EQ(target_band(4, 2, 5).count(), 2);
+  EXPECT_EQ(target_band(3, 0, 5).first, 0);
+  EXPECT_EQ(target_band(3, 0, 5).last, 4);
+  EXPECT_EQ(target_band(3, 0, 5).count(), 4);
+  EXPECT_EQ(target_band(3, 0, 5).slot(3, 4), 3);
+  EXPECT_EQ(target_band(3, 0, 5).slot(3, 2), 2);
 }
 
 }  // namespace

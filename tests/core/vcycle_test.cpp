@@ -1,6 +1,8 @@
 #include "core/vcycle.h"
 
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -11,6 +13,7 @@
 #include "gen/scaled.h"
 #include "gen/suite.h"
 #include "obs/run_report.h"
+#include "util/hash.h"
 
 namespace sfqpart {
 namespace {
@@ -115,6 +118,93 @@ TEST(Vcycle, ReportCarriesMergedLevels) {
   EXPECT_NE(json.find("\"levels\""), std::string::npos);
 }
 
+// FNV-1a over one byte per gate label (-1 for I/O gates): a portable
+// fingerprint of a whole partition.
+std::uint64_t label_hash(const Partition& partition) {
+  std::string bytes;
+  bytes.reserve(partition.plane_of.size());
+  for (const int label : partition.plane_of) {
+    bytes.push_back(static_cast<char>(label));
+  }
+  return Fnv1a64::of(bytes);
+}
+
+// Every 61st compact gate pinned to plane (index mod K).
+std::vector<int> every_61st_pinned(const Netlist& netlist, int num_planes) {
+  const int n = PartitionProblem::from_netlist(netlist, num_planes).num_gates;
+  std::vector<int> fixed(static_cast<std::size_t>(n), kUnassignedPlane);
+  for (int i = 0; i < n; i += 61) {
+    fixed[static_cast<std::size_t>(i)] = i % num_planes;
+  }
+  return fixed;
+}
+
+struct LabelPin {
+  const char* name;
+  int num_planes;
+  int band;
+  bool pinned;
+  VcycleRefineStyle style;
+  std::uint64_t hash;
+};
+
+void PrintTo(const LabelPin& pin, std::ostream* os) { *os << pin.name; }
+
+// Golden labels of scaled_20k: the refinement may get faster, never
+// different. The hashes were recorded from the uncached propose/commit
+// sweep (one full delta() walk per gate and target), so they also pin
+// that the gain cache reproduces it bit for bit.
+class VcycleLabelPin : public ::testing::TestWithParam<LabelPin> {};
+
+TEST_P(VcycleLabelPin, ReproducesPinnedLabels) {
+  const LabelPin& pin = GetParam();
+  const Netlist netlist = scaled_20k();
+  const std::vector<int> fixed = every_61st_pinned(netlist, pin.num_planes);
+  VcycleOptions options;
+  options.band = pin.band;
+  options.refine_style = pin.style;
+  if (pin.pinned) options.fixed = &fixed;
+  const VcycleResult result =
+      vcycle_partition(netlist, pin.num_planes, options);
+  EXPECT_EQ(label_hash(result.partition), pin.hash)
+      << std::hex << label_hash(result.partition);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scaled20k, VcycleLabelPin,
+    ::testing::Values(
+        LabelPin{"band1", 5, 1, false, VcycleRefineStyle::kBanded,
+                 0xadf11ea416e5de0eull},
+        LabelPin{"band2", 5, 2, false, VcycleRefineStyle::kBanded,
+                 0xd894f924e1322363ull},
+        LabelPin{"k8_band7", 8, 7, false, VcycleRefineStyle::kBanded,
+                 0x8528a6243d8df0adull},
+        LabelPin{"pinned", 5, 1, true, VcycleRefineStyle::kBanded,
+                 0x914d67573d3ca50bull},
+        LabelPin{"buckets", 5, 1, false, VcycleRefineStyle::kBuckets,
+                 0xe0bdabd874466d66ull}),
+    [](const ::testing::TestParamInfo<LabelPin>& info) {
+      return std::string(info.param.name);
+    });
+
+// Attaching an observer adds level scoring (DESIGN.md section 8.3) but
+// must not change the answer or its reported cost.
+TEST(Vcycle, ObservedRunMatchesUnobservedRun) {
+  const Netlist netlist = scaled_20k();
+  for (const VcycleRefineStyle style :
+       {VcycleRefineStyle::kBanded, VcycleRefineStyle::kBuckets}) {
+    VcycleOptions options;
+    options.refine_style = style;
+    const VcycleResult plain = vcycle_partition(netlist, 5, options);
+    obs::RunReport report;
+    options.observer = &report;
+    const VcycleResult observed = vcycle_partition(netlist, 5, options);
+    EXPECT_EQ(plain.partition.plane_of, observed.partition.plane_of);
+    EXPECT_EQ(plain.discrete_total, observed.discrete_total);
+    EXPECT_EQ(plain.refine_moves, observed.refine_moves);
+  }
+}
+
 // Regression for the refined-cost drift bug: the per-level refined cost
 // used to be cost_before plus the sum of committed move deltas, which
 // drifts from the true cost in floating point over many passes. The
@@ -146,6 +236,13 @@ TEST(Vcycle, RefinedCostMatchesFreshEvaluation) {
   }
   EXPECT_TRUE(saw_finest);
   EXPECT_DOUBLE_EQ(result.discrete_total, fresh);
+
+  // Unobserved, no level is scored; the one evaluation of the finest
+  // labels must still be the fresh cost.
+  options.observer = nullptr;
+  const VcycleResult plain = vcycle_partition(netlist, 5, options);
+  EXPECT_EQ(plain.partition.plane_of, result.partition.plane_of);
+  EXPECT_DOUBLE_EQ(plain.discrete_total, fresh);
 }
 
 // On the paper-suite circuits (small; the V-cycle bottoms out quickly)
@@ -159,6 +256,15 @@ TEST(Vcycle, HandlesSmallCircuits) {
     ASSERT_GE(result.partition.plane(g), 0);
     ASSERT_LT(result.partition.plane(g), 3);
   }
+  // No uncoarsening level: the cost is scored on the finest problem.
+  const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 3);
+  std::vector<int> labels;
+  for (const GateId gate : problem.gate_ids) {
+    labels.push_back(result.partition.plane(gate));
+  }
+  EXPECT_DOUBLE_EQ(result.discrete_total, CostModel(problem, CostWeights{})
+                                              .evaluate_discrete(labels)
+                                              .total(CostWeights{}));
 }
 
 }  // namespace
