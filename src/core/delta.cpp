@@ -1,9 +1,11 @@
 #include "core/delta.h"
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 
 #include "util/hash.h"
+#include "util/strings.h"
 
 namespace sfqpart {
 namespace {
@@ -22,36 +24,45 @@ std::uint64_t mix(std::uint64_t value) {
   return value;
 }
 
-std::uint64_t name_hash(const NameRef& name) {
-  return Fnv1a64().update(name.data, name.len).digest();
-}
-
 // Per-gate signatures over the cost-relevant structure: the undirected
 // deduplicated partitionable edge set (exactly what PartitionProblem
-// extracts), plus the gate's cell.
+// extracts), plus the gate's cell. Each name is hashed once, not once
+// per incident edge; XOR commutes, so the fold order does not matter.
 std::vector<std::uint64_t> signatures(const Netlist& netlist) {
-  std::vector<std::uint64_t> sig(static_cast<std::size_t>(netlist.num_gates()),
-                                 0);
+  const auto n = static_cast<std::size_t>(netlist.num_gates());
+  std::vector<std::uint64_t> name_hash(n);
+  std::vector<std::uint64_t> sig(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    const Gate& gate = netlist.gate(static_cast<GateId>(g));
+    name_hash[g] = Fnv1a64().update(gate.name.data, gate.name.len).digest();
+    sig[g] = mix(static_cast<std::uint64_t>(gate.cell) + 1);
+  }
   for (const Connection& edge : netlist.unique_edges()) {
     const auto a = static_cast<std::size_t>(edge.from);
     const auto b = static_cast<std::size_t>(edge.to);
-    sig[a] ^= name_hash(netlist.gate(edge.to).name);
-    sig[b] ^= name_hash(netlist.gate(edge.from).name);
-  }
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    const auto ug = static_cast<std::size_t>(g);
-    sig[ug] ^= mix(static_cast<std::uint64_t>(netlist.gate(g).cell) + 1);
+    sig[a] ^= name_hash[b];
+    sig[b] ^= name_hash[a];
   }
   return sig;
 }
 
-}  // namespace
+// The delta plus the name join it was computed from, so the warm start
+// reads the join instead of looking every name up a second time.
+struct Diff {
+  NetlistDelta delta;
+  // Per `after` gate: the same-named partitionable `before` gate, or
+  // kInvalidGate (added and I/O gates).
+  std::vector<GateId> before_of;
+};
 
-NetlistDelta compute_delta(const Netlist& before, const Netlist& after) {
+Diff diff(const Netlist& before, const Netlist& after) {
   const std::vector<std::uint64_t> before_sig = signatures(before);
   const std::vector<std::uint64_t> after_sig = signatures(after);
 
-  NetlistDelta delta;
+  Diff out;
+  NetlistDelta& delta = out.delta;
+  out.before_of.assign(static_cast<std::size_t>(after.num_gates()),
+                       kInvalidGate);
   std::vector<char> matched(static_cast<std::size_t>(before.num_gates()), 0);
   for (GateId g = 0; g < after.num_gates(); ++g) {
     if (!after.is_partitionable(g)) continue;
@@ -61,6 +72,7 @@ NetlistDelta compute_delta(const Netlist& before, const Netlist& after) {
       continue;
     }
     matched[static_cast<std::size_t>(old)] = 1;
+    out.before_of[static_cast<std::size_t>(g)] = old;
     if (before_sig[static_cast<std::size_t>(old)] !=
         after_sig[static_cast<std::size_t>(g)]) {
       delta.changed.push_back(g);
@@ -74,26 +86,33 @@ NetlistDelta compute_delta(const Netlist& before, const Netlist& after) {
       delta.removed.push_back(std::string(before.gate(g).name));
     }
   }
-  return delta;
+  return out;
+}
+
+}  // namespace
+
+NetlistDelta compute_delta(const Netlist& before, const Netlist& after) {
+  return diff(before, after).delta;
 }
 
 InitialPartition warm_start_from(const Partition& before_partition,
                                  const Netlist& before, const Netlist& after) {
-  const NetlistDelta delta = compute_delta(before, after);
-  std::vector<char> dirty(static_cast<std::size_t>(after.num_gates()), 0);
-  for (const GateId g : delta.added) dirty[static_cast<std::size_t>(g)] = 1;
-  for (const GateId g : delta.changed) dirty[static_cast<std::size_t>(g)] = 1;
-
+  assert(static_cast<int>(before_partition.plane_of.size()) ==
+             before.num_gates() &&
+         "warm_start_from: the partition must cover `before`");
+  const Diff joined = diff(before, after);
   InitialPartition warm;
   warm.plane_of.assign(static_cast<std::size_t>(after.num_gates()),
                        kUnassignedPlane);
   for (GateId g = 0; g < after.num_gates(); ++g) {
-    if (!after.is_partitionable(g)) continue;
-    if (dirty[static_cast<std::size_t>(g)]) continue;
-    const GateId old = before.find_gate(after.gate(g).name.view());
-    // Unreachable guard: a clean gate always matched in compute_delta.
-    if (old == kInvalidGate) continue;
-    warm.plane_of[static_cast<std::size_t>(g)] = before_partition.plane(old);
+    const GateId old = joined.before_of[static_cast<std::size_t>(g)];
+    if (old != kInvalidGate) {
+      warm.plane_of[static_cast<std::size_t>(g)] = before_partition.plane(old);
+    }
+  }
+  // Rewired survivors matched by name but are dirty seeds all the same.
+  for (const GateId g : joined.delta.changed) {
+    warm.plane_of[static_cast<std::size_t>(g)] = kUnassignedPlane;
   }
   return warm;
 }
@@ -101,6 +120,14 @@ InitialPartition warm_start_from(const Partition& before_partition,
 StatusOr<EngineRun> repartition(const Netlist& before,
                                 const Partition& before_partition,
                                 const Netlist& after, EngineContext context) {
+  if (static_cast<int>(before_partition.plane_of.size()) !=
+      before.num_gates()) {
+    return Status::invalid_argument(str_format(
+        "repartition: the prior partition covers %d gates, the prior "
+        "netlist has %d",
+        static_cast<int>(before_partition.plane_of.size()),
+        before.num_gates()));
+  }
   const InitialPartition warm =
       warm_start_from(before_partition, before, after);
   context.warm_start = &warm;

@@ -16,6 +16,9 @@
 // differs, detected by an order-independent adjacency signature (XOR of
 // FNV-1a hashes of neighbor names, mixed with the cell index). GateIds
 // may shift arbitrarily between revisions; names are the join key.
+// The diff is linear in gates plus connections: each gate name is hashed
+// once per netlist and looked up once, and warm_start_from() reads that
+// same join instead of repeating it.
 #pragma once
 
 #include <string>
@@ -55,11 +58,14 @@ NetlistDelta compute_delta(const Netlist& before, const Netlist& after);
 // unchanged gates inherit their plane, added/changed/IO gates stay
 // kUnassignedPlane. Labels outside [0, num_planes) of the target run are
 // the caller's responsibility (the engine adapter validates).
+// Precondition (asserted): before_partition.plane_of.size() ==
+// before.num_gates(); repartition() checks it and returns a Status.
 InitialPartition warm_start_from(const Partition& before_partition,
                                  const Netlist& before, const Netlist& after);
 
 // End-to-end ECO convenience: diff, build the warm start, run the "eco"
 // engine on `after` with `context` (context.warm_start is overwritten).
+// kInvalidArgument when `before_partition` does not cover `before`.
 StatusOr<EngineRun> repartition(const Netlist& before,
                                 const Partition& before_partition,
                                 const Netlist& after, EngineContext context);

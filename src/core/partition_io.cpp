@@ -102,6 +102,9 @@ StatusOr<InitialPartition> parse_warm_start_csv(const std::string& text,
         *plane > static_cast<long long>(std::numeric_limits<int>::max() - 1)) {
       return Status::error("bad plane '" + row[2] + "' for gate '" + row[0] + "'");
     }
+    if (warm.plane_of[static_cast<std::size_t>(gate)] != kUnassignedPlane) {
+      return Status::error("gate '" + row[0] + "' assigned twice");
+    }
     warm.plane_of[static_cast<std::size_t>(gate)] = static_cast<int>(*plane);
   }
   return warm;

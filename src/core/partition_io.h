@@ -27,8 +27,9 @@ StatusOr<Partition> parse_partition_csv(const std::string& text,
 // *previous revision* of the netlist, so rows naming gates absent from
 // `netlist` are silently skipped (removed gates) and partitionable gates
 // missing from the file stay kUnassignedPlane (added gates — the dirty
-// seeds). Malformed rows, cell mismatches and negative planes are still
-// errors; a file assigning nothing at all is accepted (everything dirty).
+// seeds). Malformed rows, cell mismatches, negative planes and a gate
+// listed twice are still errors; a file assigning nothing at all is
+// accepted (everything dirty).
 StatusOr<InitialPartition> load_warm_start_csv(const std::string& path,
                                                const Netlist& netlist);
 StatusOr<InitialPartition> parse_warm_start_csv(const std::string& text,

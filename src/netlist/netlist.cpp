@@ -4,6 +4,13 @@
 #include <cassert>
 
 namespace sfqpart {
+namespace {
+
+bool is_io_kind(CellKind kind) {
+  return kind == CellKind::kInput || kind == CellKind::kOutput;
+}
+
+}  // namespace
 
 Netlist::Netlist(const CellLibrary* library, std::string name)
     : name_(std::move(name)),
@@ -81,10 +88,7 @@ GateId Netlist::find_gate(std::string_view name) const {
   });
 }
 
-bool Netlist::is_io(GateId id) const {
-  const CellKind kind = cell_of(id).kind;
-  return kind == CellKind::kInput || kind == CellKind::kOutput;
-}
+bool Netlist::is_io(GateId id) const { return is_io_kind(cell_of(id).kind); }
 
 int Netlist::num_partitionable_gates() const {
   int count = 0;
@@ -132,22 +136,59 @@ std::vector<Connection> Netlist::connections() const {
 }
 
 std::vector<Connection> Netlist::unique_edges() const {
+  // Linear time: the canonical (lo, hi) pairs are bucketed by lo with a
+  // counting pass, then each bucket (about 1.5 entries on a mapped
+  // netlist) is sorted by hi and deduplicated on its own. Reading the
+  // buckets in lo order gives exactly what a global (lo, hi) sort plus
+  // unique would.
+  std::vector<char> partitionable_cell;
+  for (int c = 0; c < library_->num_cells(); ++c) {
+    partitionable_cell.push_back(!is_io_kind(library_->cell(c).kind));
+  }
+  const std::size_t n = gates_.size();
+  std::vector<char> partitionable(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    partitionable[g] =
+        partitionable_cell[static_cast<std::size_t>(gates_[g].cell)];
+  }
+  const auto for_each_pair = [&](auto&& visit) {
+    for (const Net& net : nets_) {
+      const GateId driver = net.driver.gate;
+      if (driver == kInvalidGate) continue;
+      if (!partitionable[static_cast<std::size_t>(driver)]) continue;
+      for (const PinRef& sink : net.sinks) {
+        if (!partitionable[static_cast<std::size_t>(sink.gate)]) continue;
+        if (sink.gate == driver) continue;  // self loops carry no cost
+        visit(std::min(driver, sink.gate), std::max(driver, sink.gate));
+      }
+    }
+  };
+
+  // bucket[lo] first counts lo's pairs, then (prefix sums) marks the end
+  // of its slice of `hi`; the scatter fills each slice from the back, so
+  // afterwards bucket[lo] is the slice's begin and bucket[lo + 1] its end.
+  std::vector<std::uint32_t> bucket(n + 1, 0);
+  for_each_pair(
+      [&](GateId lo, GateId) { ++bucket[static_cast<std::size_t>(lo)]; });
+  for (std::size_t g = 1; g <= n; ++g) bucket[g] += bucket[g - 1];
+  std::vector<GateId> hi(bucket[n]);
+  for_each_pair([&](GateId lo, GateId h) {
+    hi[--bucket[static_cast<std::size_t>(lo)]] = h;
+  });
+
+  // Reserved for every pair; only duplicate pairs leave slack.
   std::vector<Connection> edges;
-  for (const Net& n : nets_) {
-    if (n.driver.gate == kInvalidGate) continue;
-    if (!is_partitionable(n.driver.gate)) continue;
-    for (const PinRef& sink : n.sinks) {
-      if (!is_partitionable(sink.gate)) continue;
-      if (sink.gate == n.driver.gate) continue;  // self loops carry no cost
-      const GateId a = std::min(n.driver.gate, sink.gate);
-      const GateId b = std::max(n.driver.gate, sink.gate);
-      edges.push_back(Connection{a, b});
+  edges.reserve(hi.size());
+  for (std::size_t lo = 0; lo < n; ++lo) {
+    const auto first = hi.begin() + bucket[lo];
+    const auto last = hi.begin() + bucket[lo + 1];
+    std::sort(first, last);
+    for (auto it = first; it != last; ++it) {
+      if (it == first || *it != it[-1]) {
+        edges.push_back(Connection{static_cast<GateId>(lo), *it});
+      }
     }
   }
-  std::sort(edges.begin(), edges.end(), [](const Connection& x, const Connection& y) {
-    return x.from != y.from ? x.from < y.from : x.to < y.to;
-  });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return edges;
 }
 

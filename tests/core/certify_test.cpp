@@ -272,7 +272,7 @@ TEST(Certify, AdapterRecordsVerdictCounters) {
 }
 
 // The certifier's edge set, in compact indices, sorted — against the
-// netlist's own sort-based unique_edges().
+// netlist's own unique_edges().
 void expect_dedup_matches_unique_edges(const Netlist& netlist) {
   const CertifiedInstance instance =
       build_certified_instance(netlist, 3, CostWeights{});

@@ -3,6 +3,7 @@
 #include "core/delta.h"
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "gen/mutate.h"
 #include "gen/scaled.h"
 #include "netlist/netlist.h"
+#include "util/hash.h"
 
 namespace sfqpart {
 namespace {
@@ -110,6 +112,91 @@ TEST(Delta, WarmStartKeepsUnchangedPlanesAndLeavesDirtyUnassigned) {
     ++inherited;
   }
   EXPECT_EQ(inherited, delta.unchanged);
+}
+
+// FNV-1a over all four fields of a delta, in list order.
+std::uint64_t delta_hash(const NetlistDelta& delta) {
+  Fnv1a64 hash;
+  for (const GateId g : delta.added) hash.update(std::to_string(g) + ",");
+  hash.update("|");
+  for (const std::string& name : delta.removed) hash.update(name + ",");
+  hash.update("|");
+  for (const GateId g : delta.changed) hash.update(std::to_string(g) + ",");
+  hash.update("|" + std::to_string(delta.unchanged));
+  return hash.digest();
+}
+
+std::uint64_t label_hash(const std::vector<int>& labels) {
+  std::string bytes;
+  bytes.reserve(labels.size());
+  for (const int label : labels) bytes.push_back(static_cast<char>(label));
+  return Fnv1a64::of(bytes);
+}
+
+// Golden deltas and warm starts: the diff may get faster, never
+// different. The hashes were recorded with a global sort of the edge
+// list, one name hash per edge endpoint and a second name lookup in the
+// warm start. The parent partition is scaled_20k's pinned band-1
+// V-cycle (vcycle_test).
+TEST(Delta, ReproducesPinnedDeltasAndWarmStarts) {
+  struct Pin {
+    std::uint64_t mutation_seed;
+    std::uint64_t delta;
+    std::uint64_t warm;
+  };
+  ScaledParams chip;
+  chip.name = "scaled20k";
+  chip.num_gates = 20000;
+  chip.seed = 3;
+  const Netlist before = build_scaled(chip);
+  const VcycleResult parent = vcycle_partition(before, 5);
+  const Pin pins[] = {{11, 0x3a4ed1c9f7772129ull, 0xb8ae4b81cb30e892ull},
+                      {12, 0x63dae4d725b8115aull, 0xa505bcafb99fa70cull},
+                      {13, 0xd64ca56d5f154a02ull, 0xaab6d5dad6810f7dull}};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.mutation_seed);
+    MutateParams params;
+    params.seed = pin.mutation_seed;
+    const Netlist after = mutate_netlist(before, params, nullptr);
+    const NetlistDelta delta = compute_delta(before, after);
+    const InitialPartition warm =
+        warm_start_from(parent.partition, before, after);
+    EXPECT_EQ(delta_hash(delta), pin.delta) << std::hex << delta_hash(delta);
+    EXPECT_EQ(label_hash(warm.plane_of), pin.warm)
+        << std::hex << label_hash(warm.plane_of);
+
+    // Unassigned are exactly the added and changed gates plus I/O.
+    std::vector<bool> dirty(static_cast<std::size_t>(after.num_gates()));
+    for (const std::vector<GateId>* list : {&delta.added, &delta.changed}) {
+      for (const GateId g : *list) dirty[static_cast<std::size_t>(g)] = true;
+    }
+    for (GateId g = 0; g < after.num_gates(); ++g) {
+      const bool unassigned =
+          dirty[static_cast<std::size_t>(g)] || !after.is_partitionable(g);
+      EXPECT_EQ(warm.plane(g) == kUnassignedPlane, unassigned)
+          << after.gate(g).name;
+    }
+  }
+}
+
+TEST(Delta, RepartitionRejectsAMismatchedPartition) {
+  const Netlist before = small_scaled();
+  MutateParams params;
+  params.seed = 9;
+  const Netlist after = mutate_netlist(before, params, nullptr);
+  Partition truncated;
+  truncated.num_planes = kPlanes;
+  truncated.plane_of.assign(10, 0);
+  EngineContext context;
+  context.num_planes = kPlanes;
+  const auto run = repartition(before, truncated, after, context);
+  ASSERT_FALSE(run.is_ok());
+  EXPECT_TRUE(run.status().is_invalid_argument());
+  const std::string& message = run.status().message();
+  EXPECT_NE(message.find("covers 10 gates"), std::string::npos) << message;
+  EXPECT_NE(message.find("has " + std::to_string(before.num_gates())),
+            std::string::npos)
+      << message;
 }
 
 TEST(Delta, RepartitionRunsTheEcoEngineEndToEnd) {

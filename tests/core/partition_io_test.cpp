@@ -65,6 +65,26 @@ TEST(PartitionIo, RejectsDuplicateAndBadPlanes) {
   EXPECT_FALSE(parse_partition_csv("wrong,header,here\nd0,DFFT,0\n", netlist).is_ok());
 }
 
+// The warm-start loader skips rows of removed gates, but a gate listed
+// twice is as ambiguous there as in a full partition.
+TEST(PartitionIo, WarmStartRejectsDuplicateRows) {
+  Netlist netlist(&default_sfq_library(), "n");
+  netlist.add_gate_of_kind("s0", CellKind::kDff);
+  netlist.add_gate_of_kind("s1", CellKind::kDff);
+  const auto twice = parse_warm_start_csv(
+      "gate,cell,plane\ns0,DFFT,1\ns0,DFFT,3\n", netlist);
+  ASSERT_FALSE(twice.is_ok());
+  EXPECT_NE(twice.status().message().find("gate 's0' assigned twice"),
+            std::string::npos)
+      << twice.status().message();
+  // A removed gate's rows, repeated or not, are still skipped.
+  const auto stale = parse_warm_start_csv(
+      "gate,cell,plane\ngone,DFFT,0\ngone,DFFT,2\ns0,DFFT,1\n", netlist);
+  ASSERT_TRUE(stale.is_ok()) << stale.status().message();
+  EXPECT_EQ(stale->plane(0), 1);
+  EXPECT_EQ(stale->plane(1), kUnassignedPlane);
+}
+
 TEST(PartitionIo, RejectsWrongColumnCount) {
   Netlist netlist(&default_sfq_library(), "n");
   netlist.add_gate_of_kind("d0", CellKind::kDff);

@@ -1,11 +1,35 @@
 #include "netlist/netlist.h"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gen/random_logic.h"
+#include "gen/scaled.h"
+
 namespace sfqpart {
 namespace {
+
+// The edge set E by its definition: every connection between two
+// distinct partitionable gates, canonicalized, globally sorted, deduped.
+std::vector<Connection> reference_unique_edges(const Netlist& netlist) {
+  std::vector<Connection> edges;
+  for (const Connection& c : netlist.connections()) {
+    if (c.from == c.to || !netlist.is_partitionable(c.from) ||
+        !netlist.is_partitionable(c.to)) {
+      continue;
+    }
+    edges.push_back(
+        Connection{std::min(c.from, c.to), std::max(c.from, c.to)});
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const Connection& x, const Connection& y) {
+              return x.from != y.from ? x.from < y.from : x.to < y.to;
+            });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
 
 // in -> DFF(d0) -> SPLIT(s0) -> {DFF(d1), out}; builds the tiny physical
 // netlist most tests here share.
@@ -73,6 +97,26 @@ TEST(Netlist, UniqueEdgesExcludeIoAndDeduplicate) {
   for (const Connection& edge : edges) {
     EXPECT_LT(edge.from, edge.to);  // canonical order
   }
+  EXPECT_EQ(edges, reference_unique_edges(f.netlist));
+
+  // b -> a and a -> b are one edge; the self-loop b -> b is none.
+  const GateId a = f.netlist.add_gate_of_kind("a", CellKind::kMerge);
+  const GateId b = f.netlist.add_gate_of_kind("b", CellKind::kMerge);
+  f.netlist.connect(b, 0, a, 0);
+  f.netlist.connect(a, 0, b, 0);
+  f.netlist.connect(b, 0, b, 1);
+  const auto grown = f.netlist.unique_edges();
+  EXPECT_EQ(grown.size(), 3u);  // d0-s0, s0-d1, a-b
+  EXPECT_EQ(grown, reference_unique_edges(f.netlist));
+
+  // Generated netlists: a mapped chip and an unmapped logic cloud with
+  // wide fanout (larger per-gate buckets).
+  ScaledParams chip;
+  chip.num_gates = 20000;
+  const Netlist scaled = build_scaled(chip);
+  EXPECT_EQ(scaled.unique_edges(), reference_unique_edges(scaled));
+  const Netlist logic = build_random_logic(RandomLogicParams{});
+  EXPECT_EQ(logic.unique_edges(), reference_unique_edges(logic));
 }
 
 TEST(Netlist, ParallelConnectionsCollapseToOneEdge) {
@@ -83,6 +127,7 @@ TEST(Netlist, ParallelConnectionsCollapseToOneEdge) {
   netlist.connect(s, 1, m, 1);
   EXPECT_EQ(netlist.connections().size(), 2u);
   EXPECT_EQ(netlist.unique_edges().size(), 1u);
+  EXPECT_EQ(netlist.unique_edges(), reference_unique_edges(netlist));
 }
 
 TEST(Netlist, TopologicalOrderRespectsDataEdges) {
