@@ -28,7 +28,7 @@ class AnnealingAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const Netlist& netlist, const ProblemView& /*view*/,
       const EngineContext& context, const CompiledConstraints& constraints,
       const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {

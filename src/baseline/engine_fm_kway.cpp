@@ -26,7 +26,7 @@ class FmKwayAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const Netlist& netlist, const ProblemView& /*view*/,
       const EngineContext& context, const CompiledConstraints& constraints,
       const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {

@@ -29,7 +29,7 @@ class LayeredAdapter final : public EngineAdapter {
   bool self_observing() const override { return false; }
 
   StatusOr<Partition> solve(
-      const Netlist& netlist, const PartitionProblem& /*problem*/,
+      const Netlist& netlist, const ProblemView& /*view*/,
       const EngineContext& context, const CompiledConstraints& constraints,
       const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {

@@ -2,68 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 
-#include "core/problem_view.h"
 #include "util/rng.h"
 
 namespace sfqpart {
 namespace {
-
-// Per-vertex (neighbor, summed weight) lists in the historical append
-// order the legacy coarsener produced by globally sorting canonicalized
-// edges: for vertex v, neighbors u < v in ascending u first, then
-// neighbors u > v in ascending u. Matching tie-breaks on list order, so
-// this order is part of the golden-label contract.
-struct WeightedAdjacency {
-  std::vector<std::uint32_t> offsets;        // size n + 1
-  std::vector<std::pair<int, int>> entries;  // (neighbor, weight)
-};
-
-WeightedAdjacency weighted_adjacency(const ProblemView& fine) {
-  const int n = fine.num_gates();
-  const std::uint32_t* offsets = fine.offsets();
-  const std::int32_t* adj = fine.neighbors();
-  const std::int32_t* slot_weights = fine.slot_weights();
-
-  WeightedAdjacency out;
-  out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  out.entries.reserve(2 * fine.num_edges());
-
-  // Stamp-accumulate each vertex's edge weights per neighbor from the
-  // shared CSR view (parallel edges, if any, sum), then sort its few
-  // entries into the historical order. O(E log d) total instead of the
-  // legacy global edge sort's O(E log E).
-  std::vector<int> slot_of(static_cast<std::size_t>(n), -1);
-  std::vector<std::pair<int, int>> scratch;
-  for (int v = 0; v < n; ++v) {
-    scratch.clear();
-    for (std::uint32_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-      const int u = adj[s];
-      int& slot = slot_of[static_cast<std::size_t>(u)];
-      if (slot < 0) {
-        slot = static_cast<int>(scratch.size());
-        scratch.emplace_back(u, slot_weights[s]);
-      } else {
-        scratch[static_cast<std::size_t>(slot)].second += slot_weights[s];
-      }
-    }
-    for (const auto& [u, weight] : scratch) {
-      slot_of[static_cast<std::size_t>(u)] = -1;
-    }
-    std::sort(scratch.begin(), scratch.end(),
-              [v](const std::pair<int, int>& a, const std::pair<int, int>& b) {
-                const bool a_low = a.first < v;
-                const bool b_low = b.first < v;
-                if (a_low != b_low) return a_low;
-                return a.first < b.first;
-              });
-    out.entries.insert(out.entries.end(), scratch.begin(), scratch.end());
-    out.offsets[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::uint32_t>(out.entries.size());
-  }
-  return out;
-}
 
 // True when v and u may share a coarse vertex: never two vertices pinned
 // to different planes, since the merged vertex could not honor both pins.
@@ -131,59 +76,117 @@ void contract_edges(const PartitionProblem& fine,
   }
 }
 
-}  // namespace
-
-std::vector<int> CoarseLevel::project(
-    const std::vector<int>& coarse_labels) const {
-  std::vector<int> fine_labels(parent_of_fine.size());
-  for (std::size_t v = 0; v < fine_labels.size(); ++v) {
-    fine_labels[v] =
-        coarse_labels[static_cast<std::size_t>(parent_of_fine[v])];
+// True when some vertex meets one neighbor in two slots: the problem
+// has parallel edges (self-loops aside, which the matcher skips). Coarse
+// levels never do (contract_edges collapses them) and netlist problems
+// never do (Netlist::unique_edges), so only a hand-built finest problem
+// can.
+bool has_parallel_edges(const ProblemView& view) {
+  const int n = view.num_gates();
+  const std::uint32_t* offsets = view.offsets();
+  const std::int32_t* adj = view.neighbors();
+  std::vector<int> seen_from(static_cast<std::size_t>(n), -1);
+  for (int v = 0; v < n; ++v) {
+    for (std::uint32_t s = offsets[v]; s < offsets[v + 1]; ++s) {
+      const int u = adj[s];
+      if (u == v) continue;
+      int& seen = seen_from[static_cast<std::size_t>(u)];
+      if (seen == v) return true;
+      seen = v;
+    }
   }
-  return fine_labels;
+  return false;
 }
 
-CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
-                         const std::vector<int>* fixed) {
+// The edge set the matcher reads for a problem with parallel edges: each
+// neighbor pair once, with its summed weight (contract_edges under the
+// identity projection). Only the graph is kept; bias and area stay with
+// the original problem.
+PartitionProblem collapsed_graph(const PartitionProblem& problem) {
+  PartitionProblem collapsed;
+  collapsed.num_gates = problem.num_gates;
+  collapsed.num_planes = problem.num_planes;
+  std::vector<int> identity(static_cast<std::size_t>(problem.num_gates));
+  std::iota(identity.begin(), identity.end(), 0);
+  contract_edges(problem, identity, problem.num_gates, collapsed);
+  return collapsed;
+}
+
+// The pinned visit order: descending weighted degree, ascending index
+// among equal degrees. Degrees are non-negative integers, so one counting
+// sort places every vertex in O(n + max degree): bucket d — counted from
+// the top degree down — starts where the heavier buckets end, and the
+// ascending vertex scan fills each bucket in index order.
+std::vector<int> degree_sorted_order(const ProblemView& view) {
+  const auto n = static_cast<std::size_t>(view.num_gates());
+  std::vector<long long> degree(n);
+  long long max_degree = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    degree[v] = view.weighted_degree(static_cast<int>(v));
+    assert(degree[v] >= 0 && "edge weights are positive multiplicities");
+    max_degree = std::max(max_degree, degree[v]);
+  }
+  std::vector<std::uint32_t> bucket_start(
+      static_cast<std::size_t>(max_degree) + 2, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    ++bucket_start[static_cast<std::size_t>(max_degree - degree[v]) + 1];
+  }
+  for (std::size_t b = 1; b < bucket_start.size(); ++b) {
+    bucket_start[b] += bucket_start[b - 1];
+  }
+  std::vector<int> visit(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    visit[bucket_start[static_cast<std::size_t>(max_degree - degree[v])]++] =
+        static_cast<int>(v);
+  }
+  return visit;
+}
+
+// The matching tie rule: a neighbor beats the incumbent on a larger edge
+// weight, or on an equal weight and a smaller index (a search starts from
+// no neighbor, best = -1, at weight 0). Where each neighbor has one slot,
+// this picks the first maximal-weight neighbor in ascending index order —
+// the rule the matcher applied to its historical adjacency order.
+bool heavier(int weight, int u, int best_weight, int best) {
+  return weight > best_weight || (weight == best_weight && u < best);
+}
+
+// One contraction of `fine`, matching on `graph` — `fine`'s own view, or
+// its collapsed graph when `fine` has parallel edges.
+CoarseLevel coarsen_on(const ProblemView& fine, const ProblemView& graph,
+                       MatchOrder order, Rng* rng,
+                       const std::vector<int>* fixed) {
   const int n = fine.num_gates();
   const PartitionProblem& problem = fine.problem();
-  const WeightedAdjacency adjacency = weighted_adjacency(fine);
+  const std::uint32_t* offsets = graph.offsets();
+  const std::int32_t* adj = graph.neighbors();
+  const std::int32_t* slot_weights = graph.slot_weights();
 
-  std::vector<int> visit(static_cast<std::size_t>(n));
-  std::iota(visit.begin(), visit.end(), 0);
+  std::vector<int> visit;
   if (order == MatchOrder::kLegacyShuffle) {
     assert(rng != nullptr && "kLegacyShuffle consumes one Rng shuffle");
+    visit.resize(static_cast<std::size_t>(n));
+    std::iota(visit.begin(), visit.end(), 0);
     rng->shuffle(visit);
   } else {
-    // Pinned order: heaviest vertices first (summed incident edge
-    // weight), index tie-break. A pure function of the graph — no Rng
-    // draw, no dependence on how many draws earlier stages consumed.
-    std::vector<long long> degree(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      degree[static_cast<std::size_t>(v)] = fine.weighted_degree(v);
-    }
-    std::sort(visit.begin(), visit.end(), [&degree](int a, int b) {
-      const long long da = degree[static_cast<std::size_t>(a)];
-      const long long db = degree[static_cast<std::size_t>(b)];
-      if (da != db) return da > db;
-      return a < b;
-    });
+    // A pure function of the graph: no Rng draw, no dependence on how
+    // many draws earlier stages consumed.
+    visit = degree_sorted_order(fine);
   }
 
-  // Heavy-edge matching in visit order; the first maximal-weight
-  // unmatched neighbor in adjacency order wins ties.
+  // Heavy-edge matching in visit order: the maximal-weight unmatched,
+  // pin-compatible neighbor, the smallest index among equals.
   std::vector<int> match(static_cast<std::size_t>(n), -1);
   for (const int v : visit) {
     if (match[static_cast<std::size_t>(v)] >= 0) continue;
     int best = -1;
     int best_weight = 0;
-    for (std::uint32_t s = adjacency.offsets[static_cast<std::size_t>(v)];
-         s < adjacency.offsets[static_cast<std::size_t>(v) + 1]; ++s) {
-      const auto& [u, weight] = adjacency.entries[s];
+    for (std::uint32_t s = offsets[v]; s < offsets[v + 1]; ++s) {
+      const int u = adj[s];
       if (u == v || match[static_cast<std::size_t>(u)] >= 0) continue;
       if (!pins_compatible(fixed, v, u)) continue;
-      if (weight > best_weight) {
-        best_weight = weight;
+      if (heavier(slot_weights[s], u, best_weight, best)) {
+        best_weight = slot_weights[s];
         best = u;
       }
     }
@@ -201,18 +204,17 @@ CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
   // share their heaviest neighbor share one driver, so merging them adds
   // no coupling between them (DESIGN.md section 12.5). Visit the singles
   // in the same order and pair each with the previous still-waiting
-  // single of the same heaviest neighbor (first maximal weight in
-  // adjacency order, matched or not).
+  // single of the same heaviest neighbor (maximal weight, matched or not,
+  // the smallest index among equals).
   std::vector<int> waiting(static_cast<std::size_t>(n), -1);  // by hub
   for (const int v : visit) {
     if (match[static_cast<std::size_t>(v)] != v) continue;
     int hub = -1;
     int hub_weight = 0;
-    for (std::uint32_t s = adjacency.offsets[static_cast<std::size_t>(v)];
-         s < adjacency.offsets[static_cast<std::size_t>(v) + 1]; ++s) {
-      const auto& [u, weight] = adjacency.entries[s];
-      if (u != v && weight > hub_weight) {
-        hub_weight = weight;
+    for (std::uint32_t s = offsets[v]; s < offsets[v + 1]; ++s) {
+      const int u = adj[s];
+      if (u != v && heavier(slot_weights[s], u, hub_weight, hub)) {
+        hub_weight = slot_weights[s];
         hub = u;
       }
     }
@@ -262,19 +264,50 @@ CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
   return level;
 }
 
+}  // namespace
+
+std::vector<int> CoarseLevel::project(
+    const std::vector<int>& coarse_labels) const {
+  std::vector<int> fine_labels(parent_of_fine.size());
+  for (std::size_t v = 0; v < fine_labels.size(); ++v) {
+    fine_labels[v] =
+        coarse_labels[static_cast<std::size_t>(parent_of_fine[v])];
+  }
+  return fine_labels;
+}
+
+CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
+                         const std::vector<int>* fixed) {
+  if (!has_parallel_edges(fine)) {
+    return coarsen_on(fine, fine, order, rng, fixed);
+  }
+  const PartitionProblem collapsed = collapsed_graph(fine.problem());
+  return coarsen_on(fine, ProblemView(collapsed), order, rng, fixed);
+}
+
 LevelStack build_level_stack(
-    const PartitionProblem& finest, const CoarsenOptions& options, Rng* rng,
+    const ProblemView& finest, const CoarsenOptions& options, Rng* rng,
     const std::function<void(int, const PartitionProblem&)>& on_level,
     const std::vector<int>* fixed) {
   LevelStack stack;
-  const PartitionProblem* current = &finest;
+  stack.finest_view_ = &finest;
+  const PartitionProblem* current = &finest.problem();
   const std::vector<int>* current_fixed = fixed;
-  const int floor_size = std::max(options.coarse_target, 4 * finest.num_planes);
+  const int floor_size =
+      std::max(options.coarse_target, 4 * finest.num_planes());
   const int keep_percent = 100 - options.min_shrink_percent;
   while (current->num_gates > floor_size &&
          stack.num_levels() < options.max_levels) {
-    const ProblemView view(*current);
-    CoarseLevel level = coarsen_once(view, options.order, rng, current_fixed);
+    CoarseLevel level;
+    if (stack.levels.empty()) {
+      level = coarsen_once(finest, options.order, rng, current_fixed);
+    } else {
+      // A coarse level comes out of contract_edges collapsed, so its own
+      // view is the matcher's graph. Uncoarsening reads the view again
+      // (LevelStack::view).
+      const ProblemView& view = stack.coarse_views_.emplace_back(*current);
+      level = coarsen_on(view, view, options.order, rng, current_fixed);
+    }
     // Stop when progress fades: the two-hop pass merges the stars that
     // stall heavy-edge matching, but a graph of isolated vertices or of
     // stars whose leaves are pinned apart still cannot shrink.
@@ -282,6 +315,8 @@ LevelStack build_level_stack(
     // deliberately, to preserve the legacy Rng sequence for the stages
     // that share the Rng downstream.)
     if (level.problem.num_gates > current->num_gates * keep_percent / 100) {
+      // The stalled problem stays the coarsest, which keeps no view.
+      if (!stack.levels.empty()) stack.coarse_views_.pop_back();
       break;
     }
     stack.levels.push_back(std::move(level));
@@ -290,6 +325,16 @@ LevelStack build_level_stack(
         stack.levels.back().fixed.empty() ? nullptr : &stack.levels.back().fixed;
     if (on_level) on_level(stack.num_levels(), *current);
   }
+  return stack;
+}
+
+LevelStack build_level_stack(
+    const PartitionProblem& finest, const CoarsenOptions& options, Rng* rng,
+    const std::function<void(int, const PartitionProblem&)>& on_level,
+    const std::vector<int>* fixed) {
+  auto view = std::make_unique<ProblemView>(finest);
+  LevelStack stack = build_level_stack(*view, options, rng, on_level, fixed);
+  stack.owned_finest_view_ = std::move(view);
   return stack;
 }
 

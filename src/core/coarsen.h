@@ -17,8 +17,9 @@
 //    tests/core/engine_test.cpp pin this path.
 //  * kDegreeSorted is the determinism-contract order the V-cycle uses:
 //    vertices are visited by descending weighted degree (the sum of
-//    incident edge weights) with ascending-index tie-break. No Rng is
-//    consumed, so the level shape is a pure function of the graph — the
+//    incident edge weights) with ascending-index tie-break, placed by
+//    one counting sort over the integer degrees. No Rng is consumed, so
+//    the level shape is a pure function of the graph — the
 //    historical Rng-shuffled order made level shape depend on how many
 //    draws earlier stages had consumed, which is exactly the
 //    iteration-order dependence the determinism contract (DESIGN.md
@@ -26,9 +27,13 @@
 //
 // Matching is the classic heavy-edge rule: visit vertices in order,
 // match each unmatched vertex to its unmatched neighbor of maximal edge
-// weight (first such neighbor in adjacency order wins ties). A second,
-// two-hop pass then pairs vertices left single that share the same
-// heaviest neighbor — the leaves of a splitter fanout tree or star, which
+// weight, the smallest such neighbor index winning ties. Both passes read
+// the shared ProblemView's CSR slots directly; a problem with parallel
+// edges (only a hand-built finest problem can have them) is collapsed
+// once, for the matcher only, so every neighbor appears in one slot
+// carrying its summed weight (DESIGN.md section 12.5). A second, two-hop
+// pass then pairs vertices left single that share the same heaviest
+// neighbor — the leaves of a splitter fanout tree or star, which
 // heavy-edge matching cannot pair because their one neighbor is taken
 // (DESIGN.md section 12.5). Matched pairs merge; parallel inter-cluster
 // edges collapse into one edge carrying their summed weight, so a coarse
@@ -37,14 +42,16 @@
 // F1..F3 objective.
 #pragma once
 
+#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/partition.h"
+#include "core/problem_view.h"
 
 namespace sfqpart {
 
-class ProblemView;
 class Rng;
 
 enum class MatchOrder {
@@ -82,10 +89,34 @@ struct CoarsenOptions {
 // The explicit level hierarchy. levels[i] coarsens problem i into problem
 // i+1, where problem 0 is the caller's finest problem and problem i+1 is
 // levels[i].problem; levels.back().problem is the coarsest.
+//
+// The stack keeps the CSR view (core/problem_view.h) of every problem it
+// coarsened: it borrows the finest one and owns the coarse ones, each
+// built once, during coarsening, and read again by uncoarsening's cost
+// model and move evaluator. A view points at its problem, so the levels
+// live in a deque (growth never relocates an element) and the stack is
+// move-only (a move relocates none either).
 struct LevelStack {
-  std::vector<CoarseLevel> levels;
+  std::deque<CoarseLevel> levels;
+
+  LevelStack() = default;
+  LevelStack(LevelStack&&) = default;
+  LevelStack& operator=(LevelStack&&) = default;
 
   int num_levels() const { return static_cast<int>(levels.size()); }
+  // The view of problem i, for 0 <= i < num_levels(): the problems that
+  // were coarsened. The coarsest problem has none.
+  const ProblemView& view(int i) const {
+    return i == 0 ? *finest_view_
+                  : coarse_views_[static_cast<std::size_t>(i) - 1];
+  }
+  // Drops the coarsest level and the view of the problem it coarsened
+  // (the finest view stays with its owner): uncoarsening's release of a
+  // level it has refined.
+  void pop_level() {
+    levels.pop_back();
+    if (!coarse_views_.empty()) coarse_views_.pop_back();
+  }
   const PartitionProblem& coarsest(const PartitionProblem& finest) const {
     return levels.empty() ? finest : levels.back().problem;
   }
@@ -97,13 +128,29 @@ struct LevelStack {
     if (levels.empty()) return finest_fixed;
     return levels.back().fixed.empty() ? nullptr : &levels.back().fixed;
   }
+
+ private:
+  friend LevelStack build_level_stack(
+      const ProblemView&, const CoarsenOptions&, Rng*,
+      const std::function<void(int, const PartitionProblem&)>&,
+      const std::vector<int>*);
+  friend LevelStack build_level_stack(
+      const PartitionProblem&, const CoarsenOptions&, Rng*,
+      const std::function<void(int, const PartitionProblem&)>&,
+      const std::vector<int>*);
+
+  const ProblemView* finest_view_ = nullptr;
+  std::unique_ptr<ProblemView> owned_finest_view_;  // bare-problem overload
+  std::deque<ProblemView> coarse_views_;  // [i] views levels[i].problem
 };
 
 // One heavy-edge plus two-hop matching contraction of the viewed
 // problem. `rng` is consumed (one shuffle) only by kLegacyShuffle and may
 // be null for kDegreeSorted. `fixed` (per fine vertex, -1 = free; null =
 // unconstrained) forbids matching two vertices pinned to different
-// planes, in either pass, and fills CoarseLevel::fixed.
+// planes, in either pass, and fills CoarseLevel::fixed. A `fine` with
+// parallel edges is collapsed for the matcher first; the contraction
+// still reads its own edge list.
 CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order,
                          Rng* rng = nullptr,
                          const std::vector<int>* fixed = nullptr);
@@ -114,6 +161,14 @@ CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order,
 // preserving the legacy draw sequence). `on_level` (optional) observes
 // each accepted level: (1-based level index, the coarse problem).
 // `fixed` pins finest-level vertices; the pins propagate level by level.
+// The stack borrows `finest`, which must outlive it.
+LevelStack build_level_stack(
+    const ProblemView& finest, const CoarsenOptions& options,
+    Rng* rng = nullptr,
+    const std::function<void(int, const PartitionProblem&)>& on_level = {},
+    const std::vector<int>* fixed = nullptr);
+
+// Same, on a bare problem: the stack builds and owns the finest view.
 LevelStack build_level_stack(
     const PartitionProblem& finest, const CoarsenOptions& options,
     Rng* rng = nullptr,

@@ -33,6 +33,7 @@ constexpr std::size_t kReductionGrain = 1024;
 // passes too small to amortize a region open run inline instead.
 double gate_pass_cost(std::size_t k) { return 3.0 * static_cast<double>(k); }
 constexpr double kEdgePassCost = 10.0;
+constexpr double kLabelPassCost = 3.0;
 
 // The hot per-chunk loops live in the dispatched kernel layer
 // (core/simd/) — scalar, AVX2 or AVX-512, selected once at startup, all
@@ -105,6 +106,63 @@ struct FusedGateBody {
     fn(*args, begin, end, f4->chunk(chunk));
   }
 };
+
+// evaluate_discrete()'s aggregate: what AggregateBody accumulates for the
+// one-hot W of `labels`, read from the labels alone. A one-hot row adds
+// bias_i to its own plane's partial and bias_i * 0.0 = +0.0 to every
+// other; adding +0.0 to a partial of finite values leaves it unchanged,
+// so the per-plane partials take the dense pass's values exactly. The
+// row's soft label is label + 1, and its F4 term depends on the label
+// alone (f4_of_label).
+struct DiscreteAggregateBody {
+  const int* labels;
+  const double* bias;
+  const double* area;
+  const double* f4_of_label;  // size K
+  double* soft_labels;
+  ChunkSlab* bias_area;  // per-chunk [bias[0..k); area[0..k)]
+  ChunkSlab* f4;
+  std::size_t k;
+
+  void operator()(std::size_t chunk, std::size_t begin,
+                  std::size_t end) const {
+    double* bias_acc = bias_area->chunk(chunk);
+    double* area_acc = bias_acc + k;
+    double f4_sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      assert(labels[i] >= 0 && static_cast<std::size_t>(labels[i]) < k);
+      const auto label = static_cast<std::size_t>(labels[i]);
+      soft_labels[i] = static_cast<double>(label + 1);
+      bias_acc[label] += bias[i];
+      area_acc[label] += area[i];
+      f4_sum += f4_of_label[label];
+    }
+    f4->chunk(chunk)[0] += f4_sum;
+  }
+};
+
+// The F4 term of a one-hot row on each of the K planes, computed by the
+// active aggregate kernel on one row at a time: the exact per-gate
+// arithmetic of the dense evaluation (every tier matches the scalar one).
+std::vector<double> one_hot_f4_terms(std::size_t k) {
+  std::vector<int> planes(k);
+  for (std::size_t p = 0; p < k; ++p) planes[p] = static_cast<int>(p);
+  const Matrix rows = one_hot(planes, static_cast<int>(k));
+  const std::vector<double> zeros(k, 0.0);
+  std::vector<double> soft_labels(k);
+  std::vector<double> row_mean(k);
+  std::vector<double> plane_acc(2 * rows.stride());
+  const simd::AggregateArgs args{rows.flat().data(), rows.stride(),
+                                 k,                  zeros.data(),
+                                 zeros.data(),       soft_labels.data(),
+                                 row_mean.data()};
+  std::vector<double> f4(k, 0.0);
+  for (std::size_t p = 0; p < k; ++p) {
+    simd::kernels().aggregate(args, p, p + 1, plane_acc.data(),
+                              plane_acc.data() + rows.stride(), &f4[p]);
+  }
+  return f4;
+}
 
 // scatter_gradient_pass(): the reference engine's element-wise fill. Each
 // gate's gradient row is independent; no reduction, so running the chunks
@@ -567,8 +625,35 @@ void CostModel::scatter_gradient_pass(const Matrix& w, Matrix& grad,
   parallel_chunks(pool_, g, kReductionGrain, kernel, gate_pass_cost(k));
 }
 
+// The terms evaluate(one_hot(labels)) reports, bit for bit, without the
+// G x K matrix: the same chunking, the same per-chunk partials combined
+// in the same order, then the same F1/F2/F3/F4 back end.
 CostTerms CostModel::evaluate_discrete(const std::vector<int>& labels) const {
-  return evaluate(one_hot(labels, problem().num_planes));
+  const auto g = static_cast<std::size_t>(problem().num_gates);
+  const auto k = static_cast<std::size_t>(problem().num_planes);
+  assert(labels.size() == g);
+  Workspace ws;
+  Aggregates& agg = ws.agg;
+  agg.labels.resize(g);
+  agg.plane_bias.assign(k, 0.0);
+  agg.plane_area.assign(k, 0.0);
+
+  const std::vector<double> f4_of_label = one_hot_f4_terms(k);
+  const std::size_t chunks = chunk_count(g, kReductionGrain);
+  ws.bias_area_partial.reset(chunks, 2 * k);
+  ws.f4_partial.reset(chunks, 1);
+  DiscreteAggregateBody body{labels.data(),
+                             problem().bias.data(),
+                             problem().area.data(),
+                             f4_of_label.data(),
+                             agg.labels.data(),
+                             &ws.bias_area_partial,
+                             &ws.f4_partial,
+                             k};
+  parallel_chunks(pool_, g, kReductionGrain, body, kLabelPassCost);
+  combine_plane_sums(ws, chunks, k);
+  ws.agg_has_f4 = true;
+  return terms_from_aggregated(ws);
 }
 
 }  // namespace sfqpart

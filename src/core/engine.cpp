@@ -639,8 +639,11 @@ StatusOr<EngineRun> EngineAdapter::run(const Netlist& netlist,
     result.counters.emplace_back("warm_assigned",
                                  static_cast<double>(warm_assigned));
   }
+  // One CSR view per run: the engine solves on it and the normalized
+  // score below reads it again.
+  const ProblemView view(problem);
   StatusOr<Partition> partition =
-      solve(netlist, problem, inner, *compiled, warm, result.counters);
+      solve(netlist, view, inner, *compiled, warm, result.counters);
   if (!partition) return partition.status();
   result.partition = *std::move(partition);
   result.wall_ms = std::chrono::duration<double, std::milli>(
@@ -650,7 +653,7 @@ StatusOr<EngineRun> EngineAdapter::run(const Netlist& netlist,
   // Normalize the score with the *shared* discrete cost model so rows from
   // different engines are directly comparable regardless of the objective
   // the engine itself optimized.
-  const CostModel model(problem, context.weights);
+  const CostModel model(view, context.weights);
   std::vector<int> labels;
   labels.reserve(static_cast<std::size_t>(problem.num_gates));
   for (GateId gate : problem.gate_ids) {

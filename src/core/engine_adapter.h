@@ -1,19 +1,20 @@
 // Internal scaffolding for the built-in PartitionEngine adapters.
 //
 // EngineAdapter is the template method behind every built-in engine: it
-// validates the context once, compacts the problem, delegates the actual
-// solve to the subclass hook, then normalizes the outcome into an
-// EngineRun — discrete CostTerms from the shared CostModel (so rows from
-// different engines are directly comparable), wall-clock, and the
-// subclass's counters. Engines whose legacy implementation does not
-// narrate an observer stream (layered, random) get a minimal run
-// lifecycle emitted here, so a RunReport carries the `engine` field for
-// every registry engine.
+// validates the context once, compacts the problem and builds its CSR
+// view, delegates the actual solve to the subclass hook, then normalizes
+// the outcome into an EngineRun — discrete CostTerms from the shared
+// CostModel on that same view (so rows from different engines are
+// directly comparable), wall-clock, and the subclass's counters. Engines
+// whose legacy implementation does not narrate an observer stream
+// (layered, random) get a minimal run lifecycle emitted here, so a
+// RunReport carries the `engine` field for every registry engine.
 //
 // Not part of the public surface; include core/engine.h instead.
 #pragma once
 
 #include "core/engine.h"
+#include "core/problem_view.h"
 
 namespace sfqpart::engine_detail {
 
@@ -23,21 +24,23 @@ class EngineAdapter : public PartitionEngine {
                           const EngineContext& context) const final;
 
  protected:
-  // The actual solve. `problem` is the netlist compacted once for this
-  // run (engines that work on a PartitionProblem take it from here rather
-  // than rebuilding it). `counters` receives the engine-specific tallies
-  // (iterations, moves_tried, final_cut, ...); the context's observer has
-  // already been wrapped to rewrite the outermost RunInfo::engine to the
-  // registry name. `constraints` is the context's pin/group declaration
-  // compiled against this netlist (empty when unconstrained — engines
-  // must then behave bit-identically to the unconstrained code path).
+  // The actual solve. `view` is the CSR view of the netlist compacted
+  // once for this run, and view.problem() that problem: engines that
+  // work on a PartitionProblem or its adjacency take them from here
+  // rather than rebuilding either. `counters` receives the
+  // engine-specific tallies (iterations, moves_tried, final_cut, ...);
+  // the context's observer has already been wrapped to rewrite the
+  // outermost RunInfo::engine to the registry name. `constraints` is the
+  // context's pin/group declaration compiled against this netlist (empty
+  // when unconstrained — engines must then behave bit-identically to the
+  // unconstrained code path).
   // `warm` is the context's warm start compacted to problem indices
   // (-1 = unassigned), already validated and with pins folded in (a
   // pinned gate carries its pin, not its warm label); null when the
   // context has no warm start — engines must then behave bit-identically
   // to the cold code path.
   virtual StatusOr<Partition> solve(
-      const Netlist& netlist, const PartitionProblem& problem,
+      const Netlist& netlist, const ProblemView& view,
       const EngineContext& context, const CompiledConstraints& constraints,
       const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const = 0;

@@ -21,7 +21,6 @@
 
 #include "core/engine_adapter.h"
 #include "core/move_eval.h"
-#include "core/problem_view.h"
 #include "core/refine.h"
 #include "core/vcycle.h"
 #include "util/strings.h"
@@ -74,7 +73,7 @@ class EcoAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const PartitionProblem& problem,
+      const Netlist& netlist, const ProblemView& view,
       const EngineContext& context, const CompiledConstraints& constraints,
       const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
@@ -87,6 +86,7 @@ class EcoAdapter final : public EngineAdapter {
     using Clock = std::chrono::steady_clock;
     const Clock::time_point eco_start = Clock::now();
 
+    const PartitionProblem& problem = view.problem();
     const int n = problem.num_gates;
     const int k = context.num_planes;
     std::vector<int> labels = *warm;
@@ -99,8 +99,6 @@ class EcoAdapter final : public EngineAdapter {
         seeds.push_back(i);
       }
     }
-
-    const ProblemView view(problem);
 
     // BFS halo: the dirty region the restricted refinement may move.
     // `hops[i]` is the BFS depth (0 = seed); gates beyond `halo` hops are
@@ -199,7 +197,7 @@ class EcoAdapter final : public EngineAdapter {
       scratch.refine.max_passes = context.max_passes;
       scratch.fixed = constraints.compact_or_null();
       const VcycleResult cold =
-          vcycle_partition(problem, netlist.num_gates(), scratch);
+          vcycle_partition(view, netlist.num_gates(), scratch);
       const double scratch_ms = std::chrono::duration<double, std::milli>(
                                     Clock::now() - scratch_start)
                                     .count();

@@ -30,7 +30,7 @@ class GradientAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const PartitionProblem& problem,
+      const Netlist& netlist, const ProblemView& view,
       const EngineContext& context, const CompiledConstraints& constraints,
       const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
@@ -46,7 +46,7 @@ class GradientAdapter final : public EngineAdapter {
     config.fixed_labels = constraints.compact_or_null();
     config.warm_labels = warm;
     StatusOr<SolverResult> result =
-        Solver(std::move(config)).run(problem, netlist.num_gates());
+        Solver(std::move(config)).run(view.problem(), netlist.num_gates());
     if (!result) return result.status();
     counters.emplace_back("iterations", result->iterations);
     counters.emplace_back("winning_restart", result->winning_restart);

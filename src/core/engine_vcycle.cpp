@@ -37,7 +37,7 @@ class VcycleAdapter final : public EngineAdapter {
 
  protected:
   StatusOr<Partition> solve(
-      const Netlist& netlist, const PartitionProblem& problem,
+      const Netlist& netlist, const ProblemView& view,
       const EngineContext& context, const CompiledConstraints& constraints,
       const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
@@ -56,8 +56,7 @@ class VcycleAdapter final : public EngineAdapter {
     options.refine_style = context.refine_style == "buckets"
                                ? VcycleRefineStyle::kBuckets
                                : VcycleRefineStyle::kBanded;
-    VcycleResult result =
-        vcycle_partition(problem, netlist.num_gates(), options);
+    VcycleResult result = vcycle_partition(view, netlist.num_gates(), options);
     counters.emplace_back("levels", result.levels);
     counters.emplace_back("coarse_gates", result.coarse_gates);
     counters.emplace_back("refine_moves",

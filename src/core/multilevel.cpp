@@ -116,15 +116,14 @@ MultilevelResult multilevel_partition(const Netlist& netlist, int num_planes,
   {
     obs::ScopedTimer timer(&sink, "uncoarsen");
     for (std::size_t i = stack.levels.size(); i-- > 0;) {
-      const PartitionProblem& fine =
-          i == 0 ? finest : stack.levels[i - 1].problem;
       const std::vector<int>* fine_fixed =
           i == 0 ? options.fixed
                  : (stack.levels[i - 1].fixed.empty()
                         ? nullptr
                         : &stack.levels[i - 1].fixed);
       std::vector<int> fine_labels = stack.levels[i].project(labels);
-      const CostModel model(fine, coarse_options.weights);
+      const CostModel model(stack.view(static_cast<int>(i)),
+                            coarse_options.weights);
       refine_partition(model, fine_labels, rng, options.refine, &sink, -1,
                        fine_fixed);
       labels = std::move(fine_labels);
@@ -132,7 +131,7 @@ MultilevelResult multilevel_partition(const Netlist& netlist, int num_planes,
   }
 
   result.partition = finest.to_partition(labels, netlist.num_gates());
-  const CostModel model(finest, coarse_options.weights);
+  const CostModel model(stack.view(0), coarse_options.weights);
   result.discrete_total =
       model.evaluate_discrete(labels).total(coarse_options.weights);
   if (sink.enabled()) {

@@ -160,13 +160,15 @@ long long banded_refine(MoveEvaluator& eval, int band,
 
 VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
                               const VcycleOptions& options) {
-  return vcycle_partition(PartitionProblem::from_netlist(netlist, num_planes),
-                          netlist.num_gates(), options);
+  const PartitionProblem problem =
+      PartitionProblem::from_netlist(netlist, num_planes);
+  return vcycle_partition(ProblemView(problem), netlist.num_gates(), options);
 }
 
-VcycleResult vcycle_partition(const PartitionProblem& finest,
+VcycleResult vcycle_partition(const ProblemView& finest_view,
                               int netlist_num_gates,
                               const VcycleOptions& options) {
+  const PartitionProblem& finest = finest_view.problem();
   const int num_planes = finest.num_planes;
   assert(num_planes >= 2);
   obs::TraceSink sink(options.observer);
@@ -205,7 +207,7 @@ VcycleResult vcycle_partition(const PartitionProblem& finest,
     coarsen_options.order = MatchOrder::kDegreeSorted;
     Clock::time_point level_start = Clock::now();
     stack = build_level_stack(
-        finest, coarsen_options, nullptr,
+        finest_view, coarsen_options, nullptr,
         [&sink, &level_start](int level, const PartitionProblem& coarse) {
           const double elapsed = ms_since(level_start);
           level_start = Clock::now();
@@ -276,20 +278,21 @@ VcycleResult vcycle_partition(const PartitionProblem& finest,
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   {
     obs::ScopedTimer timer(&sink, "uncoarsen");
-    for (std::size_t i = stack.levels.size(); i-- > 0;) {
+    // Uncoarsening never returns to a coarser level: the loop's step pops
+    // each level once its iteration (and the model reading its view) is
+    // done, so level i refines without the coarser levels' memory.
+    for (std::size_t i = stack.levels.size(); i-- > 0; stack.pop_level()) {
       const Clock::time_point level_start = Clock::now();
-      const PartitionProblem& fine =
-          i == 0 ? finest : stack.levels[i - 1].problem;
+      // The level's view was built once, while coarsening; the cost
+      // model and the move evaluator read it again here.
+      const ProblemView& view = stack.view(static_cast<int>(i));
+      const PartitionProblem& fine = view.problem();
       const std::vector<int>* fine_fixed =
           i == 0 ? options.fixed
                  : (stack.levels[i - 1].fixed.empty()
                         ? nullptr
                         : &stack.levels[i - 1].fixed);
       std::vector<int> fine_labels = stack.levels[i].project(labels);
-
-      // One shared CSR view per level: the cost model, the move
-      // evaluator and (during coarsening) the matcher all read it.
-      const ProblemView view(fine);
       CostModel model(view, options.coarse.weights,
                       options.coarse.gradient_style);
       model.set_thread_pool(pool.get());
@@ -331,9 +334,9 @@ VcycleResult vcycle_partition(const PartitionProblem& finest,
   }
 
   result.partition = finest.to_partition(labels, netlist_num_gates);
-  if (stack.levels.empty()) {
+  if (result.levels == 0) {
     // No uncoarsening level scored the finest labels.
-    CostModel model(finest, options.coarse.weights);
+    CostModel model(finest_view, options.coarse.weights);
     model.set_thread_pool(pool.get());
     result.discrete_total =
         model.evaluate_discrete(labels).total(options.coarse.weights);

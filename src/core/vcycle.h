@@ -30,6 +30,7 @@
 // neighborhood moved walk their neighbors again (DESIGN.md section 12.3).
 #pragma once
 
+#include "core/problem_view.h"
 #include "core/solver.h"
 
 namespace sfqpart {
@@ -101,10 +102,11 @@ struct VcycleResult {
 VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
                               const VcycleOptions& options = {});
 
-// Same, on an already-built finest problem (K = problem.num_planes): the
-// registry adapter passes the problem it compacted once per run.
+// Same, on an already-built finest problem's view (K = its num_planes):
+// the registry adapter passes the problem and view it builds once per
+// run, and the level stack coarsens level 0 on that view.
 // `netlist_num_gates` sizes the returned Partition.
-VcycleResult vcycle_partition(const PartitionProblem& problem,
+VcycleResult vcycle_partition(const ProblemView& finest,
                               int netlist_num_gates,
                               const VcycleOptions& options = {});
 

@@ -1,6 +1,8 @@
 #include "core/coarsen.h"
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -46,6 +48,30 @@ PartitionProblem expanded_twin(const PartitionProblem& weighted) {
     }
   }
   return twin;
+}
+
+// A torus grid whose horizontal edges weigh 2 and vertical edges 1: every
+// vertex has weighted degree 6 and two equally heavy neighbors, so the
+// visit order and both matching passes are decided by index ties alone.
+PartitionProblem weighted_torus(int side, int num_planes) {
+  PartitionProblem problem;
+  problem.num_planes = num_planes;
+  problem.num_gates = side * side;
+  for (int v = 0; v < problem.num_gates; ++v) {
+    problem.bias.push_back(1.0);
+    problem.area.push_back(1.0);
+    problem.gate_ids.push_back(v);
+  }
+  for (int r = 0; r < side; ++r) {
+    for (int c = 0; c < side; ++c) {
+      const int v = r * side + c;
+      problem.edges.emplace_back(v, r * side + (c + 1) % side);
+      problem.edge_weights.push_back(2);
+      problem.edges.emplace_back(v, ((r + 1) % side) * side + c);
+      problem.edge_weights.push_back(1);
+    }
+  }
+  return problem;
 }
 
 long long total_weight(const PartitionProblem& problem) {
@@ -119,6 +145,190 @@ TEST(Coarsen, DegreeSortedOrderIsReproducible) {
   EXPECT_EQ(a.parent_of_fine, b.parent_of_fine);
   EXPECT_EQ(a.problem.num_gates, b.problem.num_gates);
   EXPECT_EQ(a.problem.edges, b.problem.edges);
+}
+
+// Test-local references for the coarsener's two rules, written the
+// obvious way from the edge list, independent of ProblemView.
+
+// The pinned visit order as a comparison sort: descending weighted
+// degree, ascending index.
+std::vector<int> reference_visit_order(const PartitionProblem& problem) {
+  std::vector<long long> degree(static_cast<std::size_t>(problem.num_gates));
+  for (std::size_t e = 0; e < problem.edges.size(); ++e) {
+    degree[static_cast<std::size_t>(problem.edges[e].first)] +=
+        problem.edge_weight(e);
+    degree[static_cast<std::size_t>(problem.edges[e].second)] +=
+        problem.edge_weight(e);
+  }
+  std::vector<int> visit(static_cast<std::size_t>(problem.num_gates));
+  std::iota(visit.begin(), visit.end(), 0);
+  std::sort(visit.begin(), visit.end(), [&degree](int a, int b) {
+    const long long da = degree[static_cast<std::size_t>(a)];
+    const long long db = degree[static_cast<std::size_t>(b)];
+    return da != db ? da > db : a < b;
+  });
+  return visit;
+}
+
+// The projection a matcher produces that visits in reference_visit_order
+// and takes the first maximal-weight neighbor in ascending neighbor order
+// (parallel edges summed), first by heavy-edge matching, then by the
+// two-hop pass, never pairing vertices pinned to different planes; coarse
+// ids follow the visit order.
+std::vector<int> reference_parent_of_fine(const PartitionProblem& problem,
+                                          const std::vector<int>* fixed) {
+  const std::vector<int> visit = reference_visit_order(problem);
+  const auto n = static_cast<std::size_t>(problem.num_gates);
+  std::vector<std::map<int, int>> adjacency(n);
+  for (std::size_t e = 0; e < problem.edges.size(); ++e) {
+    const auto [a, b] = problem.edges[e];
+    if (a == b) continue;
+    adjacency[static_cast<std::size_t>(a)][b] += problem.edge_weight(e);
+    adjacency[static_cast<std::size_t>(b)][a] += problem.edge_weight(e);
+  }
+  const auto compatible = [fixed](int v, int u) {
+    if (fixed == nullptr) return true;
+    const int fv = (*fixed)[static_cast<std::size_t>(v)];
+    const int fu = (*fixed)[static_cast<std::size_t>(u)];
+    return fv < 0 || fu < 0 || fv == fu;
+  };
+  std::vector<int> match(n, -1);
+  for (const int v : visit) {
+    if (match[static_cast<std::size_t>(v)] >= 0) continue;
+    int best = -1;
+    int best_weight = 0;
+    for (const auto& [u, weight] : adjacency[static_cast<std::size_t>(v)]) {
+      if (match[static_cast<std::size_t>(u)] >= 0) continue;
+      if (!compatible(v, u)) continue;
+      if (weight > best_weight) {
+        best_weight = weight;
+        best = u;
+      }
+    }
+    match[static_cast<std::size_t>(v)] = best >= 0 ? best : v;
+    if (best >= 0) match[static_cast<std::size_t>(best)] = v;
+  }
+  std::vector<int> waiting(n, -1);
+  for (const int v : visit) {
+    if (match[static_cast<std::size_t>(v)] != v) continue;
+    int hub = -1;
+    int hub_weight = 0;
+    for (const auto& [u, weight] : adjacency[static_cast<std::size_t>(v)]) {
+      if (weight > hub_weight) {
+        hub_weight = weight;
+        hub = u;
+      }
+    }
+    if (hub < 0) continue;
+    int& sibling = waiting[static_cast<std::size_t>(hub)];
+    if (sibling < 0) {
+      sibling = v;
+    } else if (compatible(v, sibling)) {
+      match[static_cast<std::size_t>(v)] = sibling;
+      match[static_cast<std::size_t>(sibling)] = v;
+      sibling = -1;
+    }
+  }
+  std::vector<int> parent(n, -1);
+  int next = 0;
+  for (const int v : visit) {
+    if (parent[static_cast<std::size_t>(v)] >= 0) continue;
+    parent[static_cast<std::size_t>(v)] = next;
+    parent[static_cast<std::size_t>(match[static_cast<std::size_t>(v)])] = next;
+    ++next;
+  }
+  return parent;
+}
+
+// Every level of a kDegreeSorted stack over `fine` reproduces the
+// references' projection on the level's fine problem and pins.
+void expect_stack_matches_references(const PartitionProblem& fine,
+                                     int coarse_target,
+                                     const std::vector<int>* fixed) {
+  CoarsenOptions options;
+  options.coarse_target = coarse_target;
+  options.order = MatchOrder::kDegreeSorted;
+  const LevelStack stack =
+      build_level_stack(fine, options, nullptr, {}, fixed);
+  ASSERT_GE(stack.num_levels(), 2);
+  const PartitionProblem* problem = &fine;
+  const std::vector<int>* level_fixed = fixed;
+  for (const CoarseLevel& level : stack.levels) {
+    EXPECT_EQ(level.parent_of_fine,
+              reference_parent_of_fine(*problem, level_fixed))
+        << problem->num_gates << "-vertex level";
+    problem = &level.problem;
+    level_fixed = level.fixed.empty() ? nullptr : &level.fixed;
+  }
+}
+
+TEST(Coarsen, VisitOrderAndMatchingMatchTheReferences) {
+  ScaledParams params;
+  params.name = "scaled20k";
+  params.num_gates = 20000;
+  params.seed = 3;
+  const PartitionProblem chip =
+      PartitionProblem::from_netlist(build_scaled(params), 5);
+  expect_stack_matches_references(chip, 64, nullptr);
+  std::vector<int> chip_pins(static_cast<std::size_t>(chip.num_gates), -1);
+  for (std::size_t v = 0; v < chip_pins.size(); v += 7) {
+    chip_pins[v] = static_cast<int>(v % 5);
+  }
+  expect_stack_matches_references(chip, 64, &chip_pins);
+
+  const PartitionProblem star = star_problem(64, 3);
+  expect_stack_matches_references(star, 8, nullptr);
+  std::vector<int> star_pins(static_cast<std::size_t>(star.num_gates), -1);
+  for (int leaf = 1; leaf <= 64; ++leaf) {
+    star_pins[static_cast<std::size_t>(leaf)] = leaf % 3 == 0 ? -1 : leaf % 2;
+  }
+  const ProblemView star_view(star);
+  EXPECT_EQ(coarsen_once(star_view, MatchOrder::kDegreeSorted, nullptr,
+                         &star_pins)
+                .parent_of_fine,
+            reference_parent_of_fine(star, &star_pins));
+
+  expect_stack_matches_references(weighted_torus(40, 4), 64, nullptr);
+}
+
+// The stack's views outlive growth of `levels` and a move of the stack
+// (sfqbench move-assigns a built stack into a default-constructed one):
+// each still views its own level's problem, with the adjacency a fresh
+// view builds.
+TEST(Coarsen, LevelStackViewsSurviveGrowthAndMoves) {
+  const PartitionProblem fine = mapped_problem("c1908", 5);
+  CoarsenOptions options;
+  options.coarse_target = 40;
+  options.order = MatchOrder::kDegreeSorted;
+  LevelStack stack;
+  stack = build_level_stack(fine, options);
+  ASSERT_GE(stack.num_levels(), 3);
+  const auto expect_views = [&fine](const LevelStack& s) {
+    for (int i = 0; i < s.num_levels(); ++i) {
+      const PartitionProblem& problem =
+          i == 0 ? fine : s.levels[static_cast<std::size_t>(i) - 1].problem;
+      const ProblemView& view = s.view(i);
+      EXPECT_EQ(&view.problem(), &problem) << "level " << i;
+      const ProblemView fresh(problem);
+      const auto slots = 2 * problem.edges.size();
+      EXPECT_TRUE(std::equal(view.offsets(),
+                             view.offsets() + problem.num_gates + 1,
+                             fresh.offsets()))
+          << "level " << i;
+      EXPECT_TRUE(std::equal(view.neighbors(), view.neighbors() + slots,
+                             fresh.neighbors()))
+          << "level " << i;
+    }
+  };
+  expect_views(stack);
+  const LevelStack moved = std::move(stack);
+  expect_views(moved);
+
+  // On a caller's view, the stack borrows it as level 0.
+  const ProblemView fine_view(fine);
+  const LevelStack borrowed = build_level_stack(fine_view, options);
+  EXPECT_EQ(&borrowed.view(0), &fine_view);
+  EXPECT_EQ(borrowed.num_levels(), moved.num_levels());
 }
 
 TEST(Coarsen, LegacyShuffleMatchesRngState) {

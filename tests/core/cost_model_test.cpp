@@ -3,11 +3,19 @@
 // printed eq. 10 is kept as a separate style).
 #include "core/cost_model.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/coarsen.h"
+#include "core/simd/dispatch.h"
 #include "core/soft_assign.h"
+#include "gen/suite.h"
 #include "util/rng.h"
 
 namespace sfqpart {
@@ -106,17 +114,60 @@ TEST(CostModel, DiscreteF4IsTheOneHotConstant) {
   EXPECT_NEAR(terms.f4, expected, 1e-12);
 }
 
+// evaluate_discrete scores labels without the one-hot matrix; its terms
+// must be the dense evaluation's bit for bit, on every kernel tier, for
+// unit-weight and weighted problems, any K and any exponent.
 TEST(CostModel, EvaluateDiscreteMatchesOneHotEvaluate) {
-  const PartitionProblem problem = tiny_problem(20, 5, 7, 30);
-  const CostModel model(problem, CostWeights{});
-  const std::vector<int> labels{0, 1, 2, 3, 4, 0, 1, 2, 3, 4,
-                                0, 1, 2, 3, 4, 0, 1, 2, 3, 4};
-  const CostTerms a = model.evaluate_discrete(labels);
-  const CostTerms b = model.evaluate(one_hot(labels, 5));
-  EXPECT_DOUBLE_EQ(a.f1, b.f1);
-  EXPECT_DOUBLE_EQ(a.f2, b.f2);
-  EXPECT_DOUBLE_EQ(a.f3, b.f3);
-  EXPECT_DOUBLE_EQ(a.f4, b.f4);
+  std::vector<std::pair<std::string, PartitionProblem>> problems;
+  problems.emplace_back("tiny", tiny_problem(20, 5, 7, 30));
+  for (const SuiteEntry& entry : benchmark_suite()) {
+    problems.emplace_back(
+        entry.name, PartitionProblem::from_netlist(build_mapped(entry), 5));
+  }
+  // A weighted coarse level of the largest circuit.
+  const PartitionProblem& largest = problems.back().second;
+  problems.emplace_back(
+      "coarse", coarsen_once(ProblemView(largest), MatchOrder::kDegreeSorted)
+                    .problem);
+  ASSERT_FALSE(problems.back().second.edge_weights.empty());
+
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  int cases = 0;
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (!simd::tier_available(tier)) continue;
+    simd::force_tier_for_testing(tier);
+    for (auto& [name, problem] : problems) {
+      for (const int k : {2, 3, 5, 8}) {
+        problem.num_planes = k;
+        Rng rng(static_cast<std::uint64_t>(problem.num_gates * 8 + k));
+        std::vector<int> labels(static_cast<std::size_t>(problem.num_gates));
+        for (int& label : labels) {
+          label = static_cast<int>(
+              rng.uniform_index(static_cast<std::uint64_t>(k)));
+        }
+        for (int exponent = 1; exponent <= 4; ++exponent) {
+          CostWeights weights;
+          weights.distance_exponent = exponent;
+          const CostModel model(problem, weights);
+          const CostTerms a = model.evaluate_discrete(labels);
+          const CostTerms b = model.evaluate(one_hot(labels, k));
+          const std::string where = name + " K=" + std::to_string(k) +
+                                    " p=" + std::to_string(exponent) +
+                                    " tier=" + simd::tier_name(tier);
+          EXPECT_EQ(bits(a.f1), bits(b.f1)) << where;
+          EXPECT_EQ(bits(a.f2), bits(b.f2)) << where;
+          EXPECT_EQ(bits(a.f3), bits(b.f3)) << where;
+          EXPECT_EQ(bits(a.f4), bits(b.f4)) << where;
+          ++cases;
+        }
+      }
+    }
+  }
+  simd::reset_dispatch_for_testing();
+  EXPECT_GE(cases, 15 * 4 * 4);
 }
 
 // Central-difference validation of the analytic gradient of the weighted
