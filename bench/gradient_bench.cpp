@@ -6,7 +6,11 @@
 //    the active tier is the same-session A/B the kernel layer is judged
 //    on (cross-session absolute rates on this shared 1-core runner swing
 //    with neighbor load and are NOT comparable), and for id8 the active
-//    rate is also ratioed against the frozen pre-SIMD baseline;
+//    rate is also ratioed against the frozen pre-SIMD baseline. The
+//    series also runs on the coarsest graph of a generated 10^5-gate
+//    chip (`coarse_graph`): the Table I circuits have ~1.2 edges per
+//    gate, where the edge pass is a minority of eval+grad, while the
+//    V-cycle's coarse descent runs on ~16 weighted edges per vertex;
 //  * thread series — unpinned 1/2/4/8-thread profile with an A/B against
 //    the pre-CSR serial-scatter reference engine, with cpus_allowed /
 //    pool_threads / hardware_threads provenance so a flat series on a
@@ -35,8 +39,11 @@
 #endif
 
 #include "bench_util.h"
+#include "core/coarsen.h"
 #include "core/simd/dispatch.h"
 #include "core/soft_assign.h"
+#include "core/vcycle.h"
+#include "gen/scaled.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -60,6 +67,31 @@ Workload make_workload(const std::string& circuit) {
   load.circuit = circuit;
   const Netlist netlist = build_mapped(circuit);
   load.problem = PartitionProblem::from_netlist(netlist, kPlanes);
+  Rng rng(kSeed);
+  load.w = random_soft_assignment(load.problem.num_gates, kPlanes, rng);
+  return load;
+}
+
+// The graph the V-cycle's coarse descent runs on: a generated 10^5-gate
+// chip (Rent 0.65, as sfqbench's fullchip_100k), coarsened with the
+// vcycle engine's default target, level cap and visit order.
+Workload make_coarse_workload() {
+  ScaledParams params;
+  params.name = "scaled100k";
+  params.num_gates = 100000;
+  params.rent_exponent = 0.65;
+  params.seed = kSeed;
+  const PartitionProblem fine =
+      PartitionProblem::from_netlist(build_scaled(params), kPlanes);
+  const VcycleOptions vcycle;
+  CoarsenOptions options;
+  options.coarse_target = vcycle.coarse_target;
+  options.max_levels = vcycle.max_levels;
+  options.order = MatchOrder::kDegreeSorted;
+  const LevelStack stack = build_level_stack(fine, options);
+  Workload load;
+  load.circuit = "scaled100k_coarsest";
+  load.problem = stack.coarsest(fine);
   Rng rng(kSeed);
   load.w = random_soft_assignment(load.problem.num_gates, kPlanes, rng);
   return load;
@@ -369,6 +401,21 @@ void print_gradient_bench() {
     entry.set("kernels", std::move(kernels));
     circuits.append(std::move(entry));
   }
+  const Workload coarse = make_coarse_workload();
+  long long edge_weight = 0;
+  for (std::size_t e = 0; e < coarse.problem.edges.size(); ++e) {
+    edge_weight += coarse.problem.edge_weight(e);
+  }
+  Json coarse_graph =
+      Json::object()
+          .set("circuit", Json::string(coarse.circuit))
+          .set("gates",
+               Json::number(static_cast<long long>(coarse.problem.num_gates)))
+          .set("edges", Json::number(static_cast<long long>(
+                            coarse.problem.edges.size())))
+          .set("total_edge_weight", Json::number(edge_weight))
+          .set("planes", Json::number(static_cast<long long>(kPlanes)))
+          .set("kernels", bench_kernel_tiers(coarse, nullptr));
   const Json doc =
       Json::object()
           .set("bench", Json::string("gradient"))
@@ -379,7 +426,8 @@ void print_gradient_bench() {
           .set("cpus_allowed",
                Json::number(static_cast<long long>(cpus_allowed())))
           .set("baseline_fifo", fifo_baseline())
-          .set("circuits", std::move(circuits));
+          .set("circuits", std::move(circuits))
+          .set("coarse_graph", std::move(coarse_graph));
   write_results_json("BENCH_gradient", doc);
 }
 

@@ -1,5 +1,6 @@
 #include "core/cost_model.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -100,12 +101,23 @@ struct FusedGateBody {
   const simd::FusedGateArgs* args;
   simd::FusedGateFn fn;
   ChunkSlab* f4;
+  ChunkSlab* grad_max;
 
   void operator()(std::size_t chunk, std::size_t begin,
                   std::size_t end) const {
-    fn(*args, begin, end, f4->chunk(chunk));
+    grad_max->chunk(chunk)[0] = fn(*args, begin, end, f4->chunk(chunk));
   }
 };
+
+// The gradient's max |grad| from the fill's per-chunk maxima. Max is
+// order-independent, so the value does not depend on the chunking.
+double combine_max(const ChunkSlab& partials, std::size_t chunks) {
+  double max_abs = 0.0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    max_abs = std::max(max_abs, partials.chunk(c)[0]);
+  }
+  return max_abs;
+}
 
 // evaluate_discrete()'s aggregate: what AggregateBody accumulates for the
 // one-hot W of `labels`, read from the labels alone. A one-hot row adds
@@ -165,9 +177,10 @@ std::vector<double> one_hot_f4_terms(std::size_t k) {
 }
 
 // scatter_gradient_pass(): the reference engine's element-wise fill. Each
-// gate's gradient row is independent; no reduction, so running the chunks
-// on the pool cannot change any value. Stays a plain scalar loop — it is
-// the historical bit-anchor the kernel layer is measured against.
+// gate's gradient row is independent, so running the chunks on the pool
+// cannot change any value; the only reduction is each chunk's max |grad|.
+// Stays a plain scalar loop — it is the historical bit-anchor the kernel
+// layer is measured against.
 struct ScatterFillKernel {
   const Matrix* w;
   Matrix* grad;
@@ -185,11 +198,14 @@ struct ScatterFillKernel {
   double n3;
   double n4;
   bool analytic;
+  ChunkSlab* grad_max;
 
-  void operator()(std::size_t, std::size_t begin, std::size_t end) const {
+  void operator()(std::size_t chunk, std::size_t begin,
+                  std::size_t end) const {
     const double kd = static_cast<double>(k);
     const double bias_coef = 2.0 / (kd * n2);
     const double area_coef = 2.0 / (kd * n3);
+    double max_abs = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
       const auto grow = grad->row(i);
       const double mean = row_mean[i];
@@ -207,8 +223,10 @@ struct ScatterFillKernel {
                    ((kd + 1.0 / kd) * (mean - (*w)(i, kk)) + kd - 1.0);
         }
         grow[kk] = value;
+        max_abs = std::max(max_abs, std::abs(value));  // skips NaN
       }
     }
+    grad_max->chunk(chunk)[0] = max_abs;
   }
 };
 
@@ -549,10 +567,7 @@ void CostModel::fused_gradient_pass(const Matrix& w, Matrix& grad,
   }
   const std::size_t gate_chunks = chunk_count(g, kReductionGrain);
   ws.f4_partial.reset(gate_chunks, 1);
-  const simd::KernelTable& kt = simd::kernels();
-  const simd::FusedGateFn fn =
-      (fast_math_ && kt.fused_gate_fast != nullptr) ? kt.fused_gate_fast
-                                                    : kt.fused_gate;
+  ws.grad_max_partial.reset(gate_chunks, 1);
   simd::FusedGateArgs args{w.flat().data(),
                            grad.flat().data(),
                            stride,
@@ -569,12 +584,14 @@ void CostModel::fused_gradient_pass(const Matrix& w, Matrix& grad,
                            weights_.c3 * (2.0 / (kd * n3_)),
                            weights_.c4 * (2.0 / n4_),
                            style_ == GradientStyle::kAnalytic};
-  FusedGateBody body{&args, fn, &ws.f4_partial};
+  FusedGateBody body{&args, simd::kernels().fused_gate, &ws.f4_partial,
+                     &ws.grad_max_partial};
   parallel_chunks(pool_, g, kReductionGrain, body, gate_pass_cost(k));
   for (std::size_t c = 0; c < gate_chunks; ++c) {
     terms.f4 += ws.f4_partial.chunk(c)[0];
   }
   terms.f4 /= n4_;
+  ws.grad_max_abs_ = combine_max(ws.grad_max_partial, gate_chunks);
 }
 
 // The pre-CSR reference path: a serial per-edge scatter into dlabel, then
@@ -621,8 +638,12 @@ void CostModel::scatter_gradient_pass(const Matrix& w, Matrix& grad,
                            n2_,
                            n3_,
                            n4_,
-                           style_ == GradientStyle::kAnalytic};
+                           style_ == GradientStyle::kAnalytic,
+                           &ws.grad_max_partial};
+  const std::size_t gate_chunks = chunk_count(g, kReductionGrain);
+  ws.grad_max_partial.reset(gate_chunks, 1);
   parallel_chunks(pool_, g, kReductionGrain, kernel, gate_pass_cost(k));
+  ws.grad_max_abs_ = combine_max(ws.grad_max_partial, gate_chunks);
 }
 
 // The terms evaluate(one_hot(labels)) reports, bit for bit, without the

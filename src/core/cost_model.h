@@ -93,6 +93,12 @@ class CostModel {
    public:
     Workspace() = default;
 
+    // max |grad| of the gradient the last evaluate_with_gradient* call
+    // wrote through this workspace, folded as std::max(acc, |g|) from 0.0
+    // (NaN entries are skipped). The gradient fill computes it on the
+    // fly, so the normalized descent step needs no pass of its own.
+    double grad_max_abs() const { return grad_max_abs_; }
+
    private:
     friend class CostModel;
     Aggregates agg;
@@ -105,6 +111,7 @@ class CostModel {
     ChunkSlab bias_area_partial;  // per-chunk [B_k..; A_k..], 2*stride wide
     ChunkSlab f1_partial;         // per-edge-chunk F1 partials, 1 wide
     ChunkSlab f4_partial;         // per-gate-chunk F4 partials, 1 wide
+    ChunkSlab grad_max_partial;   // per-gate-chunk max |grad|, 1 wide
     std::vector<double> plane_diff;  // 2*stride: [B_k - Bbar..; A_k - Abar..]
     std::vector<double> slot_grad;   // per-slot signed dF1/dl terms, 2|E|
     std::vector<double> dlabel;      // dF/dl_i (kSerialScatter only)
@@ -112,6 +119,7 @@ class CostModel {
     // the F4 partials riding along — the precondition of the *_aggregated
     // entry points.
     bool agg_has_f4 = false;
+    double grad_max_abs_ = 0.0;
   };
 
   CostModel(const PartitionProblem& problem, const CostWeights& weights,
@@ -145,8 +153,8 @@ class CostModel {
   // Opt-in reassociated vector reductions (the `fast_math` engine option).
   // Off (the default) keeps every path bit-identical to the scalar kernel
   // tier; on trades that pin for lane-parallel accumulation in the edge
-  // and fused passes, within the tolerance the A/B test enforces. No-op
-  // on the scalar tier, which has no fast variants.
+  // pass, within the tolerance the A/B test enforces. No-op on the scalar
+  // tier, which has no fast variant.
   void set_fast_math(bool on) { fast_math_ = on; }
   bool fast_math() const { return fast_math_; }
 
@@ -162,7 +170,8 @@ class CostModel {
   CostTerms evaluate(const Matrix& w, Workspace& workspace) const;
 
   // Cost and the gradient of the *weighted* total; `grad` is resized and
-  // overwritten.
+  // overwritten. The Workspace overload also leaves max |grad| in
+  // workspace.grad_max_abs().
   CostTerms evaluate_with_gradient(const Matrix& w, Matrix& grad) const;
   CostTerms evaluate_with_gradient(const Matrix& w, Matrix& grad,
                                    Workspace& workspace) const;

@@ -1,38 +1,15 @@
 #include "core/optimizer.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
 
-#include "core/simd/dispatch.h"
 #include "core/soft_assign.h"
 #include "obs/trace_sink.h"
-#include "util/thread_pool.h"
 
 namespace sfqpart {
 namespace {
-
-// Chunking of the element-wise max|grad| pass (G*stride doubles).
-// Boundaries depend only on the flat size, so the per-chunk maxima
-// combined in ascending chunk order (and max is value-identical in any
-// order) keep the descent bit-identical at every thread count.
-constexpr std::size_t kStepGrain = 4096;
-
-// Per-chunk max |grad| reduction for the normalized step, through the
-// dispatched kernel tier. The grad padding lanes are zero by the Matrix
-// writer contract, so scanning the full padded storage is value-safe.
-struct MaxAbsBody {
-  const double* values;
-  simd::MaxAbsFn fn;
-  ChunkSlab* partials;  // one max per chunk
-
-  void operator()(std::size_t chunk, std::size_t begin,
-                  std::size_t end) const {
-    partials->chunk(chunk)[0] = fn(values, begin, end);
-  }
-};
 
 // Accumulates per-stage wall time across the descent and emits one
 // "gradient" and one "step" TimerEvent when the loop finishes (whichever
@@ -88,11 +65,6 @@ OptimizerResult run_gradient_descent(const CostModel& model, Matrix w0,
   // their capacity across iterations).
   CostModel::Workspace workspace;
   StageTimers timers(options.sink, options.observer_restart);
-  // Per-chunk partials for the max|grad| reduction, hoisted with the
-  // workspace so the loop stays allocation-free after the first pass.
-  ChunkSlab max_partial;
-  ThreadPool* pool = model.thread_pool();
-  const simd::MaxAbsFn max_abs_fn = simd::kernels().max_abs;
 
   // True once step_and_aggregate has run for the current W: the stepped
   // rows were aggregated in the same pass, so the gradient evaluation can
@@ -129,16 +101,8 @@ OptimizerResult run_gradient_descent(const CostModel& model, Matrix w0,
     timers.start();
     double scale = options.learning_rate;
     if (options.normalize_step) {
-      const auto g_flat = grad.flat();
-      const std::size_t flat_size = g_flat.size();
-      const std::size_t chunks = chunk_count(flat_size, kStepGrain);
-      max_partial.reset(chunks, 1);
-      MaxAbsBody max_body{g_flat.data(), max_abs_fn, &max_partial};
-      parallel_chunks(pool, flat_size, kStepGrain, max_body, 2.0);
-      double max_abs = 0.0;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        max_abs = std::max(max_abs, max_partial.chunk(c)[0]);
-      }
+      // The gradient fill folded max |grad| as it wrote grad.
+      const double max_abs = workspace.grad_max_abs();
       if (max_abs <= 0.0) {  // exactly at a stationary point
         result.converged = true;
         result.iterations = iter;

@@ -9,6 +9,8 @@ ProblemView::ProblemView(const PartitionProblem& problem) : problem_(&problem) {
   const std::size_t edges = problem.edges.size();
   assert((problem.edge_weights.empty() || problem.edge_weights.size() == edges) &&
          "edge_weights must be empty or hold one weight per edge");
+  assert(gates < (std::size_t{1} << 31) && 2 * edges < (std::size_t{1} << 31) &&
+         "gate and slot indices must fit the kernels' signed 32-bit indices");
 
   // Degree count, prefix sum, then one cursor fill in ascending edge
   // order. The fill writes the neighbor array and records each edge's two

@@ -24,6 +24,11 @@
 // reader runs one weighted path; 1 * x == x in IEEE arithmetic keeps
 // unit-weight results bit-identical to an unweighted evaluation.
 //
+// Slot and gate indices are uint32_t here, but the AVX-512 edge kernels
+// (core/simd/kernels.h) gather and scatter through them as signed 32-bit
+// indices, so a view holds fewer than 2^31 gates and fewer than 2^31
+// slots (2|E|); the constructor asserts both.
+//
 // The view does not own the problem: the PartitionProblem must outlive
 // it. The derived arrays are owned by the view and immutable after
 // construction, so one view is safely shared by any number of readers

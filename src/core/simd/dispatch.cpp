@@ -14,9 +14,10 @@ namespace {
 // A synthetic problem exercising every alignment path: odd gate counts
 // (vector-block tails), a K that part-fills the last plane group at both
 // lane widths, a second K spanning multiple groups, and a CSR incidence
-// with mixed degrees. Values come from a fixed LCG, not util/rng, so the
-// probe has no dependency on (and can never perturb) the solver's
-// pinned streams.
+// with mixed degrees — sparse (degree ~2, weights 1..3) or dense around
+// a hub (degree >= 64, weights 1..9, as on coarse graphs). Values come
+// from a fixed LCG, not util/rng, so the probe has no dependency on (and
+// can never perturb) the solver's pinned streams.
 
 struct LcgDouble {
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
@@ -41,12 +42,13 @@ struct ProbeProblem {
   std::vector<double> bias;
   std::vector<double> area;
   std::vector<std::pair<int, int>> edges;
-  std::vector<std::int32_t> weights;  // mixed 1..3, as on coarse graphs
+  std::vector<std::int32_t> weights;  // 1..3 sparse, 1..9 with a hub
   std::vector<std::uint32_t> slot_of_first;
   std::vector<std::uint32_t> slot_of_second;
   std::vector<std::uint32_t> inc_offsets;
 
-  ProbeProblem(std::size_t gates_in, std::size_t k_in, std::size_t num_edges)
+  ProbeProblem(std::size_t gates_in, std::size_t k_in, std::size_t num_edges,
+               bool hub = false)
       : gates(gates_in), k(k_in), stride(padded(k_in)) {
     LcgDouble rng;
     w.assign(gates * stride, 0.0);
@@ -64,11 +66,18 @@ struct ProbeProblem {
       area[i] = 2.0 + rng.next();
     }
     for (std::size_t e = 0; e < num_edges; ++e) {
-      const int a = static_cast<int>((e * 7 + 1) % gates);
+      int a = static_cast<int>((e * 7 + 1) % gates);
       int b = static_cast<int>((e * 13 + 3) % gates);
       if (b == a) b = (b + 1) % static_cast<int>(gates);
+      // Hub: three of every four edges touch gate 0, as either endpoint.
+      if (hub && e % 4 != 3) {
+        a = 0;
+        b = 1 + static_cast<int>(e % (gates - 1));
+        if (e % 2 == 1) std::swap(a, b);
+      }
       edges.emplace_back(a, b);
-      weights.push_back(static_cast<std::int32_t>(1 + e % 3));
+      weights.push_back(
+          static_cast<std::int32_t>(hub ? 1 + e * 5 % 9 : 1 + e % 3));
     }
     // CSR incidence in ascending edge order per gate, matching
     // core/problem_view.h.
@@ -107,8 +116,7 @@ struct ProbeResult {
   std::vector<double> labels, row_mean, bias_acc, area_acc;
   std::vector<double> slot_grad, grad, stepped_w;
   double f4_agg = 0.0, f4_step = 0.0, f4_fill = 0.0;
-  double f1 = 0.0, f1_grad = 0.0, max_abs = 0.0;
-  std::vector<double> clamped;
+  double f1 = 0.0, f1_grad = 0.0, grad_max = 0.0;
 
   bool operator==(const ProbeResult& o) const {
     return bits_equal(labels, o.labels) && bits_equal(row_mean, o.row_mean) &&
@@ -116,10 +124,9 @@ struct ProbeResult {
            bits_equal(area_acc, o.area_acc) &&
            bits_equal(slot_grad, o.slot_grad) && bits_equal(grad, o.grad) &&
            bits_equal(stepped_w, o.stepped_w) &&
-           bits_equal(clamped, o.clamped) && bits_equal(f4_agg, o.f4_agg) &&
-           bits_equal(f4_step, o.f4_step) && bits_equal(f4_fill, o.f4_fill) &&
-           bits_equal(f1, o.f1) && bits_equal(f1_grad, o.f1_grad) &&
-           bits_equal(max_abs, o.max_abs);
+           bits_equal(f4_agg, o.f4_agg) && bits_equal(f4_step, o.f4_step) &&
+           bits_equal(f4_fill, o.f4_fill) && bits_equal(f1, o.f1) &&
+           bits_equal(f1_grad, o.f1_grad) && bits_equal(grad_max, o.grad_max);
   }
 };
 
@@ -176,7 +183,7 @@ ProbeResult run_probe(const KernelTable& t, const ProbeProblem& p,
                    0.05,
                    0.8,
                    true};
-  t.fused_gate(fg, 0, p.gates, &r.f4_fill);
+  r.grad_max = t.fused_gate(fg, 0, p.gates, &r.f4_fill);
 
   r.stepped_w = p.w;
   std::vector<double> step_labels(p.gates, 0.0);
@@ -193,24 +200,25 @@ ProbeResult run_probe(const KernelTable& t, const ProbeProblem& p,
   r.row_mean.insert(r.row_mean.end(), step_mean.begin(), step_mean.end());
   r.bias_acc.insert(r.bias_acc.end(), step_bias.begin(), step_bias.end());
   r.area_acc.insert(r.area_acc.end(), step_area.begin(), step_area.end());
-
-  r.clamped = p.w;
-  t.step_clamp(r.clamped.data(), r.grad.data(), 0, r.clamped.size(), 0.21);
-  r.max_abs = t.max_abs(r.grad.data(), 0, r.grad.size());
   return r;
 }
 
 bool probe_matches_scalar(const KernelTable& table) {
-  // Two shapes: K=5 part-fills a 4-lane and an 8-lane group; K=11 spans
-  // multiple groups at both widths. 67 gates leaves tails at both block
-  // sizes; 89 edges leaves edge-pass tails too.
-  const ProbeProblem small(67, 5, 89);
-  const ProbeProblem wide(35, 11, 53);
+  // K=5 part-fills a 4-lane and an 8-lane group; K=11 spans multiple
+  // groups at both widths; K=7 leaves a 3-lane and a 7-lane group. 67
+  // and 75 gates leave tails at both block sizes; 89 and 53 edges leave
+  // edge-pass tails of 1 and 5, and the hub shapes' 96..103 edges every
+  // tail mod 8 (so mod 4 too).
+  std::vector<ProbeProblem> shapes;
+  shapes.emplace_back(67, 5, 89);
+  shapes.emplace_back(35, 11, 53);
+  for (std::size_t edges = 96; edges < 104; ++edges) {
+    shapes.emplace_back(75, 7, edges, /*hub=*/true);
+  }
   const KernelTable& scalar = scalar_kernels();
-  for (const ProbeProblem* p : {&small, &wide}) {
+  for (const ProbeProblem& p : shapes) {
     for (int exponent : {4, 2}) {
-      if (!(run_probe(table, *p, exponent) ==
-            run_probe(scalar, *p, exponent))) {
+      if (!(run_probe(table, p, exponent) == run_probe(scalar, p, exponent))) {
         return false;
       }
     }

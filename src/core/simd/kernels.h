@@ -1,10 +1,10 @@
 // The gradient hot-path kernel layer (DESIGN.md section 15).
 //
 // CostModel's per-chunk loops — the aggregate sweep over W, the signed
-// |dl|^(p-1) edge power chain, the fused gather/F2/F3/F4 gradient fill,
-// and the optimizer's step/max-abs passes — are dispatched through this
-// table of per-ISA implementations (scalar, AVX2, AVX-512), selected once
-// at startup by core/simd/dispatch.h.
+// |dl|^(p-1) edge power chain, the fused gather/F2/F3/F4 gradient fill
+// with its max|grad| reduction, and the optimizer's fused step — are
+// dispatched through this table of per-ISA implementations (scalar,
+// AVX2, AVX-512), selected once at startup by core/simd/dispatch.h.
 //
 // Contract: every non-fast kernel is BIT-IDENTICAL to the scalar tier.
 // The scalar tier is the exact code the pre-SIMD CostModel ran (moved
@@ -29,9 +29,9 @@
 //    reproduce the scalar bits on this machine, so the guarantee holds
 //    even where a compiler contracts differently.
 //
-// The *_fast entries are the opt-in reassociated variants behind the
-// fast_math engine option: lane-parallel F1/gather accumulation with a
-// tree reduction, tolerance-checked (not bit-pinned) by test.
+// edge_grad_fast is the opt-in reassociated variant behind the fast_math
+// engine option: lane-parallel F1 accumulation with a tree reduction,
+// tolerance-checked (not bit-pinned) by test.
 //
 // All W/grad pointers are padded rows, `stride` doubles apart (stride is
 // a multiple of util/matrix.h kRowAlignDoubles, so full-vector row loads
@@ -87,6 +87,11 @@ using F1TermFn = double (*)(const EdgeArgs& args, std::size_t begin,
 // F1 term + both signed per-endpoint gradient slots of every edge. The
 // weight multiplies the finished term (w * |dl|^p) and the finished slot
 // magnitude (w * (p |dl|^(p-1) / N1)), one multiply each.
+//
+// The AVX-512 tier reads an 8-edge block's labels with hardware gathers
+// and writes its slots with hardware scatters; its fused_gate sums slots
+// with gathers. Their indices are signed 32-bit, so gate indices and
+// slot indices (< 2|E|) must stay below 2^31 — ProblemView asserts it.
 struct EdgeGradArgs {
   const std::pair<int, int>* edges = nullptr;
   const double* labels = nullptr;
@@ -102,8 +107,12 @@ using EdgeGradFn = double (*)(const EdgeGradArgs& args, std::size_t begin,
                               std::size_t end);
 
 // Fused per-gate pass: CSR gather of the edge slots, gradient row fill
-// for all four terms, and the F4 partial. Returns nothing; adds the F4
-// chunk sum into *f4_acc.
+// for all four terms, and the F4 partial. Adds the F4 chunk sum into
+// *f4_acc and returns the chunk's max |grad| entry, folded as
+// std::max(acc, |g|) from 0.0 — NaN entries are skipped, and max is
+// order-independent, so the chunk maxima combine to the same value in
+// any order. Padding planes hold +0.0, so this is also the max over the
+// full padded rows.
 struct FusedGateArgs {
   const double* w = nullptr;  // padded G x stride
   double* grad = nullptr;     // padded G x stride
@@ -122,16 +131,8 @@ struct FusedGateArgs {
   double c4_coef = 0.0;
   bool analytic = true;
 };
-using FusedGateFn = void (*)(const FusedGateArgs& args, std::size_t begin,
-                             std::size_t end, double* f4_acc);
-
-// Optimizer element-wise passes over the padded flat storage (grad
-// padding lanes are zero by the Matrix writer contract, so both are
-// value-safe over the full stride).
-using StepClampFn = void (*)(double* w, const double* g, std::size_t begin,
-                             std::size_t end, double scale);
-using MaxAbsFn = double (*)(const double* g, std::size_t begin,
-                            std::size_t end);
+using FusedGateFn = double (*)(const FusedGateArgs& args, std::size_t begin,
+                               std::size_t end, double* f4_acc);
 
 struct KernelTable {
   const char* name = "scalar";
@@ -140,12 +141,9 @@ struct KernelTable {
   F1TermFn f1_term = nullptr;
   EdgeGradFn edge_grad = nullptr;
   FusedGateFn fused_gate = nullptr;
-  StepClampFn step_clamp = nullptr;
-  MaxAbsFn max_abs = nullptr;
-  // Reassociated fast_math variants; null means "no fast variant, use the
+  // Reassociated fast_math variant; null means "no fast variant, use the
   // exact kernel" (the scalar tier has none).
   EdgeGradFn edge_grad_fast = nullptr;
-  FusedGateFn fused_gate_fast = nullptr;
 };
 
 // Per-tier tables. The scalar table is always available; the vector

@@ -16,6 +16,10 @@ namespace {
 struct Avx2Ops {
   using V = __m256d;
   static constexpr std::size_t kLanes = 4;
+  // AVX2 has gathers but no scatter, and a gather-loaded edge block
+  // measured slower on dense coarse graphs (DESIGN.md section 15.1), so
+  // edge and slot blocks are assembled in stack buffers.
+  static constexpr bool kGatherScatter = false;
 
   static V zero() { return _mm256_setzero_pd(); }
   static V set1(double x) { return _mm256_set1_pd(x); }
@@ -44,21 +48,6 @@ struct Avx2Ops {
   static V select_ge0(V delta, V a, V b) {
     const V mask = _mm256_cmp_pd(delta, _mm256_setzero_pd(), _CMP_GE_OQ);
     return _mm256_blendv_pd(b, a, mask);
-  }
-
-  // Store the first m lanes (1..3) only.
-  static void store_head(double* p, V v, std::size_t m) {
-    alignas(32) static const long long kRows[7] = {-1, -1, -1, 0, 0, 0, 0};
-    const __m256i mask =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kRows + 3 - m));
-    _mm256_maskstore_pd(p, mask, v);
-  }
-  // Zero lanes >= m (for the fast-math variance mask).
-  static V zero_tail(V v, std::size_t m) {
-    alignas(32) static const long long kRows[7] = {-1, -1, -1, 0, 0, 0, 0};
-    const __m256i mask =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kRows + 3 - m));
-    return _mm256_and_pd(v, _mm256_castsi256_pd(mask));
   }
 
   // In-place 4x4 transpose: r[j] holds gate j's 4 plane values on entry,

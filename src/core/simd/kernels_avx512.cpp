@@ -7,14 +7,24 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "core/simd/kernels_vec_impl.h"
 
 namespace sfqpart::simd {
 namespace {
 
+// gather_endpoints reads an edge block as 16 packed 32-bit ints, first
+// then second of each edge.
+static_assert(std::is_standard_layout_v<std::pair<int, int>> &&
+                  sizeof(std::pair<int, int>) == 2 * sizeof(std::int32_t) &&
+                  sizeof(int) == sizeof(std::int32_t),
+              "std::pair<int, int> must be two packed 32-bit ints");
+
 struct Avx512Ops {
   using V = __m512d;
   static constexpr std::size_t kLanes = 8;
+  static constexpr bool kGatherScatter = true;
 
   static V zero() { return _mm512_setzero_pd(); }
   static V set1(double x) { return _mm512_set1_pd(x); }
@@ -41,14 +51,51 @@ struct Avx512Ops {
     return _mm512_mask_blend_pd(ge, b, a);  // mask set -> a
   }
 
-  static __mmask8 head_mask(std::size_t m) {
-    return static_cast<__mmask8>((1u << m) - 1u);
+  // The endpoint labels of the 8 edges at `edges`: one load of the 16
+  // packed ints, one permute splitting them into firsts (low half) and
+  // seconds (high half), and one gather per half. Gate indices are
+  // non-negative ints, so the signed 32-bit gather index holds them.
+  static void gather_endpoints(const std::pair<int, int>* edges,
+                               const double* labels, V& first, V& second) {
+    const __m512i pairs = _mm512_loadu_si512(edges);
+    const __m512i split = _mm512_permutexvar_epi32(
+        _mm512_set_epi32(15, 13, 11, 9, 7, 5, 3, 1, 14, 12, 10, 8, 6, 4, 2, 0),
+        pairs);
+    first = _mm512_i32gather_pd(_mm512_castsi512_si256(split), labels, 8);
+    second = _mm512_i32gather_pd(_mm512_extracti64x4_epi64(split, 1), labels, 8);
   }
-  static void store_head(double* p, V v, std::size_t m) {
-    _mm512_mask_storeu_pd(p, head_mask(m), v);
+  // Lane j: slot_grad[offsets[j]] + ... + slot_grad[offsets[j+1] - 1],
+  // added in ascending slot order onto +0.0 — gate j's scalar chain. Each
+  // step gathers the next slot of every gate that has one; a finished
+  // lane is masked out of both the gather and the add.
+  static V sum_slots(const double* slot_grad, const std::uint32_t* offsets) {
+    __m256i slot =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(offsets));
+    const __m256i end =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(offsets + 1));
+    // Signed compares: slots are below 2^31 (see scatter).
+    const auto live = [&end](__m256i at) {
+      return static_cast<__mmask8>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(end, at))));
+    };
+    V sum = _mm512_setzero_pd();
+    for (__mmask8 m = live(slot); m != 0; m = live(slot)) {
+      const V value = _mm512_mask_i32gather_pd(sum, m, slot, slot_grad, 8);
+      sum = _mm512_mask_add_pd(sum, m, sum, value);
+      slot = _mm256_add_epi32(slot, _mm256_set1_epi32(1));
+    }
+    return sum;
   }
-  static V zero_tail(V v, std::size_t m) {
-    return _mm512_maskz_mov_pd(head_mask(m), v);
+  static V load_weights(const std::int32_t* weights) {
+    return _mm512_cvtepi32_pd(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(weights)));
+  }
+  // base[slots[j]] = v[j]; the slots are below 2^31 (ProblemView asserts
+  // 2|E| < 2^31), so the signed 32-bit scatter index holds them.
+  static void scatter(double* base, const std::uint32_t* slots, V v) {
+    _mm512_i32scatter_pd(
+        base, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots)), v,
+        8);
   }
 
   // In-place 8x8 transpose via unpack + 128-bit lane shuffles.

@@ -141,15 +141,16 @@ double edge_grad_scalar(const EdgeGradArgs& a, std::size_t begin,
 
 // One pass over W doing all the per-gate work — the gather of dF1/dl_i
 // from the slot values the edge pass precomputed, the F4 term partial,
-// and the gradient row fill for every term. A gate's slots sit in
-// ascending edge order — the exact addition sequence the reference
-// scatter applies to dlabel[i]. The hoisted coefficient products keep the
-// scatter fill's left-to-right association, so hoisting cannot change a
-// bit either.
-void fused_gate_scalar(const FusedGateArgs& a, std::size_t begin,
-                       std::size_t end, double* f4_acc) {
+// the gradient row fill for every term, and the max |grad| the
+// normalized descent step divides by. A gate's slots sit in ascending
+// edge order — the exact addition sequence the reference scatter applies
+// to dlabel[i]. The hoisted coefficient products keep the scatter fill's
+// left-to-right association, so hoisting cannot change a bit either.
+double fused_gate_scalar(const FusedGateArgs& a, std::size_t begin,
+                         std::size_t end, double* f4_acc) {
   const double kd = static_cast<double>(a.k);
   double f4_sum = 0.0;
+  double max_abs = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
     double dlabel = 0.0;
     for (std::uint32_t inc = a.inc_offsets[i]; inc < a.inc_offsets[i + 1];
@@ -176,25 +177,14 @@ void fused_gate_scalar(const FusedGateArgs& a, std::size_t begin,
         value += a.c4_coef * ((kd + 1.0 / kd) * (mean - wrow[kk]) + kd - 1.0);
       }
       grow[kk] = value;
+      // std::max keeps its first argument on an unordered compare, so a
+      // NaN entry is skipped.
+      max_abs = std::max(max_abs, std::abs(value));
       variance += dev * dev;
     }
     f4_sum += sum_term * sum_term - variance / kd;
   }
   *f4_acc += f4_sum;
-}
-
-void step_clamp_scalar(double* w, const double* g, std::size_t begin,
-                       std::size_t end, double scale) {
-  for (std::size_t i = begin; i < end; ++i) {
-    w[i] = std::clamp(w[i] - scale * g[i], 0.0, 1.0);
-  }
-}
-
-double max_abs_scalar(const double* g, std::size_t begin, std::size_t end) {
-  double max_abs = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    max_abs = std::max(max_abs, std::abs(g[i]));
-  }
   return max_abs;
 }
 
@@ -209,8 +199,6 @@ const KernelTable& scalar_kernels() {
     t.f1_term = detail::f1_term_scalar;
     t.edge_grad = detail::edge_grad_scalar;
     t.fused_gate = detail::fused_gate_scalar;
-    t.step_clamp = detail::step_clamp_scalar;
-    t.max_abs = detail::max_abs_scalar;
     // No fast variants: reassociation only pays with vector lanes.
     return t;
   }();

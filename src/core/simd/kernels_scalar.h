@@ -19,10 +19,7 @@ void step_aggregate_scalar(const AggregateArgs& a, double* w,
 double f1_term_scalar(const EdgeArgs& a, std::size_t begin, std::size_t end);
 double edge_grad_scalar(const EdgeGradArgs& a, std::size_t begin,
                         std::size_t end);
-void fused_gate_scalar(const FusedGateArgs& a, std::size_t begin,
-                       std::size_t end, double* f4_acc);
-void step_clamp_scalar(double* w, const double* g, std::size_t begin,
-                       std::size_t end, double scale);
-double max_abs_scalar(const double* g, std::size_t begin, std::size_t end);
+double fused_gate_scalar(const FusedGateArgs& a, std::size_t begin,
+                         std::size_t end, double* f4_acc);
 
 }  // namespace sfqpart::simd::detail

@@ -22,9 +22,14 @@
 //    (F1, F4) are accumulated by ascending-order lane extraction.
 //  * min/max mirror the scalar sources' value semantics for NaN and
 //    signed zero: clamp01 is min(1, max(0, x)) with x in the
-//    NaN-propagating operand position, max-abs keeps the accumulator in
-//    the NaN-dropping position (std::max returns its first argument on
-//    an unordered compare).
+//    NaN-propagating operand position, the fill's max|grad| keeps the
+//    accumulator in the NaN-dropping position (std::max returns its
+//    first argument on an unordered compare).
+//  * Tiers with hardware gather/scatter (Ops::kGatherScatter) move
+//    edge_grad's labels, weights and slot values, and the fill's slot
+//    values, with them; the others assemble the blocks in stack
+//    buffers. Both move the same values to the same places and add
+//    them in the same order, so the choice never changes a bit.
 #pragma once
 
 #include <algorithm>
@@ -248,20 +253,29 @@ struct VecKernels {
     V sum_v = Ops::zero();  // kFast only: reassociated lane accumulator
     const V exp_v = Ops::set1(static_cast<double>(a.exponent));
     const V n1_v = Ops::set1(a.n1);
-    alignas(64) double la[kL];
-    alignas(64) double lb[kL];
-    alignas(64) double wb[kL];
     alignas(64) double tbuf[kL];
-    alignas(64) double fbuf[kL];
     std::size_t e = begin;
     for (; e + kL <= end; e += kL) {
-      for (std::size_t j = 0; j < kL; ++j) {
-        la[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].first)];
-        lb[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].second)];
-        wb[j] = static_cast<double>(a.weights[e + j]);
+      V label_a;
+      V label_b;
+      V weight;
+      if constexpr (Ops::kGatherScatter) {
+        Ops::gather_endpoints(a.edges + e, a.labels, label_a, label_b);
+        weight = Ops::load_weights(a.weights + e);
+      } else {
+        alignas(64) double la[kL];
+        alignas(64) double lb[kL];
+        alignas(64) double wb[kL];
+        for (std::size_t j = 0; j < kL; ++j) {
+          la[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].first)];
+          lb[j] = a.labels[static_cast<std::size_t>(a.edges[e + j].second)];
+          wb[j] = static_cast<double>(a.weights[e + j]);
+        }
+        label_a = Ops::load(la);
+        label_b = Ops::load(lb);
+        weight = Ops::load(wb);
       }
-      const V weight = Ops::load(wb);
-      const V delta = Ops::sub(Ops::load(la), Ops::load(lb));
+      const V delta = Ops::sub(label_a, label_b);
       const V ad = Ops::abs(delta);
       // pow_chain(ad, p-1)'s multiply sequence.
       V chain = Ops::set1(1.0);
@@ -280,10 +294,19 @@ struct VecKernels {
       const V first =
           a.analytic ? Ops::select_ge0(delta, magnitude, Ops::neg(magnitude))
                      : magnitude;
-      Ops::store(fbuf, first);
-      for (std::size_t j = 0; j < kL; ++j) {
-        a.slot_grad[a.slot_of_first[e + j]] = fbuf[j];
-        a.slot_grad[a.slot_of_second[e + j]] = -fbuf[j];
+      if constexpr (Ops::kGatherScatter) {
+        // The block's 2 kL slots are distinct (each slot belongs to one
+        // edge endpoint), so the scatters' write order cannot matter; neg
+        // is the scalar `-first`'s exact sign flip.
+        Ops::scatter(a.slot_grad, a.slot_of_first + e, first);
+        Ops::scatter(a.slot_grad, a.slot_of_second + e, Ops::neg(first));
+      } else {
+        alignas(64) double fbuf[kL];
+        Ops::store(fbuf, first);
+        for (std::size_t j = 0; j < kL; ++j) {
+          a.slot_grad[a.slot_of_first[e + j]] = fbuf[j];
+          a.slot_grad[a.slot_of_second[e + j]] = -fbuf[j];
+        }
       }
     }
     if constexpr (kFast) {
@@ -319,14 +342,29 @@ struct VecKernels {
 
   // ---- fused gather / gradient fill / F4 -----------------------------
 
-  template <bool kFast>
-  static void fused_gate_impl(const FusedGateArgs& a, std::size_t begin,
-                              std::size_t end, double* f4_acc) {
-    // kPaperEq10 is cold; the scalar tier carries it.
-    if (!a.analytic) {
-      detail::fused_gate_scalar(a, begin, end, f4_acc);
-      return;
+  // dF1/dl of the kL gates from `offsets` on: each gate's slots summed
+  // in ascending edge order from +0.0 — the exact scatter replay, one
+  // addition chain per gate (per lane, with hardware gathers).
+  static V sum_slots(const double* slot_grad, const std::uint32_t* offsets) {
+    if constexpr (Ops::kGatherScatter) {
+      return Ops::sum_slots(slot_grad, offsets);
+    } else {
+      alignas(64) double dbuf[kL];
+      for (std::size_t j = 0; j < kL; ++j) {
+        double dlabel = 0.0;
+        for (std::uint32_t inc = offsets[j]; inc < offsets[j + 1]; ++inc) {
+          dlabel += slot_grad[inc];
+        }
+        dbuf[j] = dlabel;
+      }
+      return Ops::load(dbuf);
     }
+  }
+
+  static double fused_gate(const FusedGateArgs& a, std::size_t begin,
+                           std::size_t end, double* f4_acc) {
+    // kPaperEq10 is cold; the scalar tier carries it.
+    if (!a.analytic) return detail::fused_gate_scalar(a, begin, end, f4_acc);
     const std::size_t stride = a.stride;
     // Groups covering real planes only — NOT stride / kL: the row stride
     // is padded to kRowAlignDoubles, so at narrow lane widths a row can
@@ -336,8 +374,7 @@ struct VecKernels {
     // group.
     const std::size_t groups = (a.k + kL - 1) / kL;
     if (groups > kMaxGroups) {
-      detail::fused_gate_scalar(a, begin, end, f4_acc);
-      return;
+      return detail::fused_gate_scalar(a, begin, end, f4_acc);
     }
     const double kd = static_cast<double>(a.k);
     const V kd_v = Ops::set1(kd);
@@ -357,23 +394,14 @@ struct VecKernels {
     // index ascending — each lane is exactly the scalar gate's
     // left-to-right sum. Rows transpose in, grad transposes back out
     // with +0.0 in the padding planes (bit-identical to never touching
-    // them).
+    // them). max|grad| is a lanewise max over the active planes' values.
     double f4_sum = 0.0;
-    alignas(64) double dbuf[kL];
+    V max_v = Ops::zero();
     alignas(64) double fbuf[kL];
     std::size_t i = begin;
     for (; i + kL <= end; i += kL) {
-      for (std::size_t j = 0; j < kL; ++j) {
-        // Ascending-edge-order slot gather: the exact scatter replay;
-        // stays scalar (variable short ranges), one chain per gate.
-        double dlabel = 0.0;
-        for (std::uint32_t inc = a.inc_offsets[i + j];
-             inc < a.inc_offsets[i + j + 1]; ++inc) {
-          dlabel += a.slot_grad[inc];
-        }
-        dbuf[j] = dlabel;
-      }
-      const V c1d_v = Ops::mul(c1_v, Ops::load(dbuf));
+      const V c1d_v =
+          Ops::mul(c1_v, sum_slots(a.slot_grad, a.inc_offsets + i));
       const V bias_v = Ops::mul(bcoef_v, Ops::loadu(a.bias + i));
       const V area_v = Ops::mul(acoef_v, Ops::loadu(a.area + i));
       const V mean_v = Ops::loadu(a.row_mean + i);
@@ -398,6 +426,9 @@ struct VecKernels {
             value = Ops::add(
                 value, Ops::mul(c4_v, Ops::sub(st_v, Ops::div(dev, kd_v))));
             t[l] = value;
+            // acc in vmaxpd's NaN-keeping operand: a NaN entry leaves
+            // it, as std::max(acc, |g|) does.
+            max_v = Ops::max_second(Ops::abs(value), max_v);
             var_v = Ops::add(var_v, Ops::mul(dev, dev));
           } else {
             t[l] = Ops::zero();  // padding plane: store explicit +0.0
@@ -413,6 +444,10 @@ struct VecKernels {
       // Ascending lane extraction: the scalar per-gate addition order.
       for (std::size_t j = 0; j < kL; ++j) f4_sum += fbuf[j];
     }
+    alignas(64) double mbuf[kL];
+    Ops::store(mbuf, max_v);
+    double max_abs = 0.0;
+    for (std::size_t j = 0; j < kL; ++j) max_abs = std::max(max_abs, mbuf[j]);
     // Inlined scalar tail continuing the same f4 chain.
     for (; i < end; ++i) {
       double dlabel = 0.0;
@@ -435,54 +470,13 @@ struct VecKernels {
         const double dev = wrow[kk] - mean;
         value += a.c4_coef * (sum_term - dev / kd);
         grow[kk] = value;
+        max_abs = std::max(max_abs, std::abs(value));
         variance += dev * dev;
       }
       f4_sum += sum_term * sum_term - variance / kd;
     }
     *f4_acc += f4_sum;
-  }
-
-  static void fused_gate(const FusedGateArgs& a, std::size_t begin,
-                         std::size_t end, double* f4_acc) {
-    fused_gate_impl<false>(a, begin, end, f4_acc);
-  }
-  static void fused_gate_fast(const FusedGateArgs& a, std::size_t begin,
-                              std::size_t end, double* f4_acc) {
-    fused_gate_impl<true>(a, begin, end, f4_acc);
-  }
-
-  // ---- optimizer flat passes -----------------------------------------
-
-  static void step_clamp(double* w, const double* g, std::size_t begin,
-                         std::size_t end, double scale) {
-    const V scale_v = Ops::set1(scale);
-    std::size_t i = begin;
-    for (; i + kL <= end; i += kL) {
-      const V wv = Ops::loadu(w + i);
-      const V gv = Ops::loadu(g + i);
-      Ops::storeu(w + i, Ops::clamp01(Ops::sub(wv, Ops::mul(scale_v, gv))));
-    }
-    for (; i < end; ++i) {
-      w[i] = std::clamp(w[i] - scale * g[i], 0.0, 1.0);
-    }
-  }
-
-  static double max_abs(const double* g, std::size_t begin, std::size_t end) {
-    V acc = Ops::zero();
-    std::size_t i = begin;
-    for (; i + kL <= end; i += kL) {
-      // New value in the NaN-propagation slot, accumulator in the
-      // NaN-keeping slot: matches std::max(acc, std::abs(x)) which keeps
-      // acc on an unordered compare. Order never matters otherwise —
-      // max over non-negative values is associative and commutative.
-      acc = Ops::max_second(Ops::abs(Ops::loadu(g + i)), acc);
-    }
-    alignas(64) double buf[kL];
-    Ops::store(buf, acc);
-    double result = 0.0;
-    for (std::size_t j = 0; j < kL; ++j) result = std::max(result, buf[j]);
-    for (; i < end; ++i) result = std::max(result, std::abs(g[i]));
-    return result;
+    return max_abs;
   }
 
   // pow_chain clone for the inlined edge tail (same association as
@@ -510,10 +504,7 @@ struct VecKernels {
     t.f1_term = f1_term;
     t.edge_grad = edge_grad;
     t.fused_gate = fused_gate;
-    t.step_clamp = step_clamp;
-    t.max_abs = max_abs;
     t.edge_grad_fast = edge_grad_fast;
-    t.fused_gate_fast = fused_gate_fast;
     return t;
   }
 };

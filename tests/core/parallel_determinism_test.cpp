@@ -1,6 +1,8 @@
 // The parallel engine's determinism contract (DESIGN.md section 7): for a
 // fixed seed, the Solver's output is bit-identical at every thread count,
 // and identical through the EngineRegistry's gradient wrapper.
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -196,10 +198,19 @@ TEST(ParallelDeterminism, GradientBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The whole descent loop — gradient reductions, the parallel max|grad|
-// normalization, and the parallel step/clamp — through the fork-join
-// executor: a pooled descent must reproduce the serial descent bit for
-// bit, iteration count included.
+// The std::max(acc, |g|) fold from 0.0 over the padded storage — the
+// max|grad| pass the optimizer ran before the fill folded it in.
+double reference_max_abs(const Matrix& grad) {
+  double max_abs = 0.0;
+  for (const double g : grad.flat()) max_abs = std::max(max_abs, std::abs(g));
+  return max_abs;
+}
+
+// The whole descent loop — gradient reductions, the max|grad| the fill
+// folds per chunk, and the fused step — through the fork-join executor:
+// a pooled descent must reproduce the serial descent bit for bit,
+// iteration count included, and the max the cost model reports must be
+// the reference fold at 1, 2 and 8 threads.
 TEST(ParallelDeterminism, GradientDescentBitIdenticalWithAndWithoutPool) {
   const Netlist netlist = build_mapped("mult8");
   const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 5);
@@ -213,15 +224,24 @@ TEST(ParallelDeterminism, GradientDescentBitIdenticalWithAndWithoutPool) {
   const OptimizerResult serial =
       run_gradient_descent(serial_model, w0, options);
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     CostModel model(problem, CostWeights{});
-    model.set_thread_pool(&pool);
+    if (threads > 1) model.set_thread_pool(&pool);
     const OptimizerResult pooled = run_gradient_descent(model, w0, options);
     EXPECT_EQ(pooled.w, serial.w);
     expect_terms_eq(pooled.final_terms, serial.final_terms);
     EXPECT_EQ(pooled.iterations, serial.iterations);
     EXPECT_EQ(pooled.converged, serial.converged);
+
+    for (const Matrix* w : {&w0, &pooled.w}) {
+      CostModel::Workspace ws;
+      Matrix grad;
+      model.evaluate_with_gradient(*w, grad, ws);
+      EXPECT_GT(ws.grad_max_abs(), 0.0);
+      EXPECT_EQ(ws.grad_max_abs(), reference_max_abs(grad))
+          << threads << " threads";
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 // bit-for-bit on every cost term). fast_math is the opt-in exception and
 // is bounded by an explicit relative-error tolerance instead.
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "core/coarsen.h"
 #include "core/cost_model.h"
 #include "core/move_eval.h"
+#include "core/optimizer.h"
 #include "core/simd/dispatch.h"
 #include "core/soft_assign.h"
 #include "core/solver.h"
@@ -22,6 +25,7 @@
 #include "gen/scaled.h"
 #include "gen/suite.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sfqpart {
 namespace {
@@ -45,8 +49,16 @@ std::vector<Tier> available_tiers() {
   return tiers;
 }
 
+// Also logs the dispatch decision, so a run under SFQPART_KERNELS shows
+// which tier it actually exercised (a runner without the requested ISA
+// falls back to a narrower one).
 TEST_F(SimdDispatchTest, InfoIsConsistent) {
   const simd::DispatchInfo& info = simd::dispatch_info();
+  std::printf("kernel dispatch: detected %s, requested %s, active %s%s%s\n",
+              simd::tier_name(info.detected), simd::tier_name(info.requested),
+              simd::tier_name(info.active),
+              info.env_override ? " (SFQPART_KERNELS)" : "",
+              info.probe_demoted ? " (probe demoted)" : "");
   EXPECT_TRUE(simd::tier_available(info.detected));
   EXPECT_LE(static_cast<int>(info.requested), static_cast<int>(info.detected));
   EXPECT_LE(static_cast<int>(info.active), static_cast<int>(info.requested));
@@ -54,10 +66,10 @@ TEST_F(SimdDispatchTest, InfoIsConsistent) {
 }
 
 // The per-kernel identity suite: the probe runs every kernel of the tier
-// (aggregate with and without F4, f1_term, edge_grad, fused_gate,
-// step_aggregate, step_clamp, max_abs) over shapes with vector-block
-// tails and partial plane groups and compares every output bit for bit
-// against the scalar tier.
+// (aggregate with and without F4, f1_term, edge_grad, fused_gate with its
+// max|grad|, step_aggregate) over shapes with vector-block tails, partial
+// plane groups, sparse and hub-dense weighted edges and every edge-block
+// tail, and compares every output bit for bit against the scalar tier.
 TEST_F(SimdDispatchTest, AllAvailableTiersPassBitIdentityProbe) {
   for (const Tier tier : available_tiers()) {
     EXPECT_TRUE(simd::probe_tier(tier)) << simd::tier_name(tier);
@@ -104,8 +116,9 @@ LabelResult solve_small(const PartitionProblem& problem) {
 }
 
 // End-to-end: a whole multi-restart descent (aggregate, edge pass, fused
-// fill, step_and_aggregate, max-abs, hardening) per tier, compared
-// bitwise. This is the pin that keeps golden labels tier-independent.
+// fill and its max|grad|, step_and_aggregate, hardening) per tier,
+// compared bitwise. This is the pin that keeps golden labels
+// tier-independent.
 TEST_F(SimdDispatchTest, EndToEndDescentBitIdenticalAcrossTiers) {
   const Netlist netlist = build_mapped("ksa8");
   const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 5);
@@ -178,8 +191,9 @@ TEST_F(SimdDispatchTest, StepFusionMatchesUnfusedStep) {
   }
 }
 
-// Gradient padding lanes must stay exactly zero (the optimizer's flat
-// max-abs and step passes scan them).
+// Gradient padding lanes must stay exactly zero: the fused descent step
+// reads grad over the full padded stride, and a nonzero padding lane
+// would step W's padding away from zero.
 TEST_F(SimdDispatchTest, GradientPaddingStaysZero) {
   const Netlist netlist = build_mapped("id4");
   const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 5);
@@ -393,6 +407,153 @@ TEST_F(SimdDispatchTest, VcycleLabelsBitIdenticalAcrossTiers) {
     EXPECT_EQ(got.partition.plane_of, reference.partition.plane_of)
         << simd::tier_name(tier);
     EXPECT_EQ(got.discrete_total, reference.discrete_total);
+  }
+}
+
+// The old optimizer pass's fold: std::max(acc, |g|) from 0.0 over the
+// padded storage; std::max keeps acc when |g| is NaN.
+double reference_max_abs(const Matrix& grad) {
+  double max_abs = 0.0;
+  for (const double g : grad.flat()) max_abs = std::max(max_abs, std::abs(g));
+  return max_abs;
+}
+
+// The max|grad| the gradient fill folds equals the reference fold on
+// every tier, at 1, 2 and 8 threads, through both gradient entry points
+// the descent uses and through the scatter reference engine. id8 spans
+// five reduction chunks, so the chunk maxima really combine.
+TEST_F(SimdDispatchTest, FillReportsMaxAbsGradOnEveryTierAndThreadCount) {
+  const Netlist netlist = build_mapped("id8");
+  const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 5);
+  ASSERT_GT(problem.num_gates, 4096);
+  Rng rng(17);
+  const Matrix w = random_soft_assignment(problem.num_gates,
+                                          problem.num_planes, rng);
+
+  for (const Tier tier : available_tiers()) {
+    simd::force_tier_for_testing(tier);
+    for (const int threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      CostModel model(problem, CostWeights{});
+      if (threads > 1) model.set_thread_pool(&pool);
+      CostModel::Workspace ws;
+      Matrix grad;
+      model.evaluate_with_gradient(w, grad, ws);
+      const double max_abs = reference_max_abs(grad);
+      EXPECT_GT(max_abs, 0.0);
+      EXPECT_EQ(ws.grad_max_abs(), max_abs)
+          << simd::tier_name(tier) << " threads " << threads;
+
+      Matrix stepped = w;
+      model.step_and_aggregate(stepped, grad, 0.05 / max_abs, ws);
+      model.evaluate_with_gradient_aggregated(stepped, grad, ws);
+      EXPECT_EQ(ws.grad_max_abs(), reference_max_abs(grad))
+          << simd::tier_name(tier) << " threads " << threads;
+
+      model.set_gradient_engine(GradientEngine::kSerialScatter);
+      Matrix scatter_grad;
+      model.evaluate_with_gradient(w, scatter_grad, ws);
+      EXPECT_EQ(ws.grad_max_abs(), max_abs)
+          << simd::tier_name(tier) << " threads " << threads;
+    }
+  }
+}
+
+// A W with one NaN entry: the fill writes NaN into that gradient entry
+// only, and the max it returns is the old pass's fold, which skips the
+// NaN — on every tier, for a NaN in a vector block and in the tail. The
+// NaN sits in the last plane of the gate whose row holds the max, so a
+// fold that let the NaN replace its accumulator would lose that max.
+TEST_F(SimdDispatchTest, FusedGateMaxSkipsNaN) {
+  constexpr std::size_t kGates = 13;  // one 8-gate block + a 5-gate tail
+  constexpr std::size_t kPlanes = 5;
+  Matrix w(kGates, kPlanes);
+  Rng rng(29);
+  for (std::size_t i = 0; i < kGates; ++i) {
+    for (std::size_t kk = 0; kk < kPlanes; ++kk) w(i, kk) = rng.uniform();
+  }
+  std::vector<double> row_mean(kGates, 0.2);
+  std::vector<double> bias(kGates, 1.0);
+  std::vector<double> area(kGates, 2.0);
+  std::vector<double> plane_diff(2 * w.stride(), 0.0);
+  for (std::size_t kk = 0; kk < kPlanes; ++kk) {
+    plane_diff[kk] = 0.1 * static_cast<double>(kk) - 0.2;
+    plane_diff[w.stride() + kk] = 0.3 - 0.1 * static_cast<double>(kk);
+  }
+  // One slot per gate, so dF1/dl_i is slot i.
+  std::vector<double> slot_grad(kGates);
+  std::vector<std::uint32_t> offsets(kGates + 1);
+  for (std::size_t i = 0; i < kGates; ++i) {
+    slot_grad[i] = 0.5 - 0.08 * static_cast<double>(i);
+    offsets[i + 1] = static_cast<std::uint32_t>(i + 1);
+  }
+
+  for (const std::size_t nan_gate : {std::size_t{3}, std::size_t{12}}) {
+    Matrix w_nan = w;
+    w_nan(nan_gate, kPlanes - 1) = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> slots = slot_grad;
+    slots[nan_gate] = 3.0;  // this gate's row holds the max
+    double scalar_max = -1.0;
+    for (const Tier tier : available_tiers()) {
+      Matrix grad(kGates, kPlanes);
+      const simd::FusedGateArgs args{w_nan.flat().data(),
+                                     grad.flat().data(),
+                                     w_nan.stride(),
+                                     kPlanes,
+                                     row_mean.data(),
+                                     bias.data(),
+                                     area.data(),
+                                     plane_diff.data(),
+                                     plane_diff.data() + w_nan.stride(),
+                                     slots.data(),
+                                     offsets.data(),
+                                     0.9,
+                                     0.07,
+                                     0.05,
+                                     0.8,
+                                     true};
+      double f4 = 0.0;
+      const double max_abs =
+          simd::tier_kernels(tier)->fused_gate(args, 0, kGates, &f4);
+      EXPECT_TRUE(std::isnan(grad(nan_gate, kPlanes - 1)))
+          << simd::tier_name(tier);
+      EXPECT_EQ(max_abs, std::abs(grad(nan_gate, kPlanes - 2)))
+          << simd::tier_name(tier) << " NaN at gate " << nan_gate;
+      EXPECT_EQ(max_abs, reference_max_abs(grad))
+          << simd::tier_name(tier) << " NaN at gate " << nan_gate;
+      if (tier == Tier::kScalar) scalar_max = max_abs;
+      EXPECT_EQ(max_abs, scalar_max) << simd::tier_name(tier);
+    }
+  }
+}
+
+// With c1..c4 = 0 every gradient entry is zero: the descent sees a
+// stationary point and stops at iteration 0 with converged = true, on
+// every tier.
+TEST_F(SimdDispatchTest, ZeroGradientStopsAtStationaryPoint) {
+  const Netlist netlist = build_mapped("ksa8");
+  const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 5);
+  CostWeights zero;
+  zero.c1 = 0.0;
+  zero.c2 = 0.0;
+  zero.c3 = 0.0;
+  zero.c4 = 0.0;
+  const CostModel model(problem, zero);
+
+  for (const Tier tier : available_tiers()) {
+    simd::force_tier_for_testing(tier);
+    Rng rng(41);
+    const Matrix w0 = random_soft_assignment(problem.num_gates,
+                                             problem.num_planes, rng);
+    CostModel::Workspace ws;
+    Matrix grad;
+    model.evaluate_with_gradient(w0, grad, ws);
+    EXPECT_EQ(ws.grad_max_abs(), 0.0) << simd::tier_name(tier);
+
+    const OptimizerResult result = run_gradient_descent(model, w0);
+    EXPECT_EQ(result.iterations, 0) << simd::tier_name(tier);
+    EXPECT_TRUE(result.converged) << simd::tier_name(tier);
+    EXPECT_EQ(result.w, w0) << simd::tier_name(tier);
   }
 }
 
