@@ -87,7 +87,6 @@ Workload make_coarse_workload() {
   CoarsenOptions options;
   options.coarse_target = vcycle.coarse_target;
   options.max_levels = vcycle.max_levels;
-  options.order = MatchOrder::kDegreeSorted;
   const LevelStack stack = build_level_stack(fine, options);
   Workload load;
   load.circuit = "scaled100k_coarsest";

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <numeric>
 
-#include "util/rng.h"
-
 namespace sfqpart {
 namespace {
 
@@ -154,7 +152,6 @@ bool heavier(int weight, int u, int best_weight, int best) {
 // One contraction of `fine`, matching on `graph` — `fine`'s own view, or
 // its collapsed graph when `fine` has parallel edges.
 CoarseLevel coarsen_on(const ProblemView& fine, const ProblemView& graph,
-                       MatchOrder order, Rng* rng,
                        const std::vector<int>* fixed) {
   const int n = fine.num_gates();
   const PartitionProblem& problem = fine.problem();
@@ -162,17 +159,9 @@ CoarseLevel coarsen_on(const ProblemView& fine, const ProblemView& graph,
   const std::int32_t* adj = graph.neighbors();
   const std::int32_t* slot_weights = graph.slot_weights();
 
-  std::vector<int> visit;
-  if (order == MatchOrder::kLegacyShuffle) {
-    assert(rng != nullptr && "kLegacyShuffle consumes one Rng shuffle");
-    visit.resize(static_cast<std::size_t>(n));
-    std::iota(visit.begin(), visit.end(), 0);
-    rng->shuffle(visit);
-  } else {
-    // A pure function of the graph: no Rng draw, no dependence on how
-    // many draws earlier stages consumed.
-    visit = degree_sorted_order(fine);
-  }
+  // A pure function of the graph: no Rng draw, no dependence on how many
+  // draws earlier stages consumed.
+  const std::vector<int> visit = degree_sorted_order(fine);
 
   // Heavy-edge matching in visit order: the maximal-weight unmatched,
   // pin-compatible neighbor, the smallest index among equals.
@@ -276,17 +265,15 @@ std::vector<int> CoarseLevel::project(
   return fine_labels;
 }
 
-CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order, Rng* rng,
+CoarseLevel coarsen_once(const ProblemView& fine,
                          const std::vector<int>* fixed) {
-  if (!has_parallel_edges(fine)) {
-    return coarsen_on(fine, fine, order, rng, fixed);
-  }
+  if (!has_parallel_edges(fine)) return coarsen_on(fine, fine, fixed);
   const PartitionProblem collapsed = collapsed_graph(fine.problem());
-  return coarsen_on(fine, ProblemView(collapsed), order, rng, fixed);
+  return coarsen_on(fine, ProblemView(collapsed), fixed);
 }
 
 LevelStack build_level_stack(
-    const ProblemView& finest, const CoarsenOptions& options, Rng* rng,
+    const ProblemView& finest, const CoarsenOptions& options,
     const std::function<void(int, const PartitionProblem&)>& on_level,
     const std::vector<int>* fixed) {
   LevelStack stack;
@@ -300,20 +287,17 @@ LevelStack build_level_stack(
          stack.num_levels() < options.max_levels) {
     CoarseLevel level;
     if (stack.levels.empty()) {
-      level = coarsen_once(finest, options.order, rng, current_fixed);
+      level = coarsen_once(finest, current_fixed);
     } else {
       // A coarse level comes out of contract_edges collapsed, so its own
       // view is the matcher's graph. Uncoarsening reads the view again
       // (LevelStack::view).
       const ProblemView& view = stack.coarse_views_.emplace_back(*current);
-      level = coarsen_on(view, view, options.order, rng, current_fixed);
+      level = coarsen_on(view, view, current_fixed);
     }
     // Stop when progress fades: the two-hop pass merges the stars that
     // stall heavy-edge matching, but a graph of isolated vertices or of
     // stars whose leaves are pinned apart still cannot shrink.
-    // (A discarded level has already consumed its kLegacyShuffle draws —
-    // deliberately, to preserve the legacy Rng sequence for the stages
-    // that share the Rng downstream.)
     if (level.problem.num_gates > current->num_gates * keep_percent / 100) {
       // The stalled problem stays the coarsest, which keeps no view.
       if (!stack.levels.empty()) stack.coarse_views_.pop_back();
@@ -329,11 +313,11 @@ LevelStack build_level_stack(
 }
 
 LevelStack build_level_stack(
-    const PartitionProblem& finest, const CoarsenOptions& options, Rng* rng,
+    const PartitionProblem& finest, const CoarsenOptions& options,
     const std::function<void(int, const PartitionProblem&)>& on_level,
     const std::vector<int>* fixed) {
   auto view = std::make_unique<ProblemView>(finest);
-  LevelStack stack = build_level_stack(*view, options, rng, on_level, fixed);
+  LevelStack stack = build_level_stack(*view, options, on_level, fixed);
   stack.owned_finest_view_ = std::move(view);
   return stack;
 }

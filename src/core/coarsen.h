@@ -1,29 +1,18 @@
-// Heavy-edge-matching coarsening — the level builder behind the
-// multilevel and V-cycle engines.
+// Heavy-edge-matching coarsening — the level builder behind the V-cycle
+// engines (core/vcycle.h).
 //
-// Extracted from core/multilevel.cpp so every multilevel-style engine
-// shares one implementation: coarsen_once() contracts a matching of the
-// weighted graph into the next coarser PartitionProblem, and
-// build_level_stack() iterates it into an explicit LevelStack — the
-// per-level problems plus the fine->coarse projection arrays the
-// uncoarsening sweep walks back up.
+// coarsen_once() contracts a matching of the weighted graph into the next
+// coarser PartitionProblem, and build_level_stack() iterates it into an
+// explicit LevelStack — the per-level problems plus the fine->coarse
+// projection arrays the uncoarsening sweep walks back up.
 //
-// Two match-visit orders are provided:
-//
-//  * kLegacyShuffle reproduces the historical multilevel engine bit for
-//    bit: the visit order is an Rng shuffle, coarse ids are assigned in
-//    that same shuffled order, and the Rng draws happen even for a level
-//    the stall check later discards. The golden-label parity tests in
-//    tests/core/engine_test.cpp pin this path.
-//  * kDegreeSorted is the determinism-contract order the V-cycle uses:
-//    vertices are visited by descending weighted degree (the sum of
-//    incident edge weights) with ascending-index tie-break, placed by
-//    one counting sort over the integer degrees. No Rng is consumed, so
-//    the level shape is a pure function of the graph — the
-//    historical Rng-shuffled order made level shape depend on how many
-//    draws earlier stages had consumed, which is exactly the
-//    iteration-order dependence the determinism contract (DESIGN.md
-//    section 7) forbids.
+// Vertices are visited by descending weighted degree (the sum of incident
+// edge weights) with ascending-index tie-break, placed by one counting
+// sort over the integer degrees. No Rng is consumed, so the level shape is
+// a pure function of the graph: a random visit order would make it depend
+// on how many draws earlier stages had consumed, which is exactly the
+// iteration-order dependence the determinism contract (DESIGN.md
+// section 7) forbids.
 //
 // Matching is the classic heavy-edge rule: visit vertices in order,
 // match each unmatched vertex to its unmatched neighbor of maximal edge
@@ -52,11 +41,9 @@
 
 namespace sfqpart {
 
-class Rng;
-
+// The one visit order (weighted-degree-descending, index tie-break).
 enum class MatchOrder {
-  kLegacyShuffle,  // Rng-shuffled visit order (bit-compatible legacy path)
-  kDegreeSorted,   // weighted-degree-descending, index tie-break; Rng-free
+  kDegreeSorted,
 };
 
 // One coarsening step: the coarser problem plus the projection array.
@@ -83,7 +70,9 @@ struct CoarsenOptions {
   // Stop when a level shrinks by less than this percentage (matching
   // stalls on graphs of isolated vertices or of pinned-apart stars).
   int min_shrink_percent = 5;
-  MatchOrder order = MatchOrder::kLegacyShuffle;
+  // Read by nothing: kept only because sfqbench/sfqbench.cpp still
+  // assigns it.
+  MatchOrder order = MatchOrder::kDegreeSorted;
 };
 
 // The explicit level hierarchy. levels[i] coarsens problem i into problem
@@ -131,11 +120,11 @@ struct LevelStack {
 
  private:
   friend LevelStack build_level_stack(
-      const ProblemView&, const CoarsenOptions&, Rng*,
+      const ProblemView&, const CoarsenOptions&,
       const std::function<void(int, const PartitionProblem&)>&,
       const std::vector<int>*);
   friend LevelStack build_level_stack(
-      const PartitionProblem&, const CoarsenOptions&, Rng*,
+      const PartitionProblem&, const CoarsenOptions&,
       const std::function<void(int, const PartitionProblem&)>&,
       const std::vector<int>*);
 
@@ -145,33 +134,28 @@ struct LevelStack {
 };
 
 // One heavy-edge plus two-hop matching contraction of the viewed
-// problem. `rng` is consumed (one shuffle) only by kLegacyShuffle and may
-// be null for kDegreeSorted. `fixed` (per fine vertex, -1 = free; null =
-// unconstrained) forbids matching two vertices pinned to different
-// planes, in either pass, and fills CoarseLevel::fixed. A `fine` with
-// parallel edges is collapsed for the matcher first; the contraction
-// still reads its own edge list.
-CoarseLevel coarsen_once(const ProblemView& fine, MatchOrder order,
-                         Rng* rng = nullptr,
+// problem. `fixed` (per fine vertex, -1 = free; null = unconstrained)
+// forbids matching two vertices pinned to different planes, in either
+// pass, and fills CoarseLevel::fixed. A `fine` with parallel edges is
+// collapsed for the matcher first; the contraction still reads its own
+// edge list.
+CoarseLevel coarsen_once(const ProblemView& fine,
                          const std::vector<int>* fixed = nullptr);
 
 // Builds the full hierarchy: repeat coarsen_once until the vertex count
-// reaches max(coarse_target, 4*K), max_levels is hit, or matching stalls
-// (a discarded stalled level still consumes its kLegacyShuffle Rng draws,
-// preserving the legacy draw sequence). `on_level` (optional) observes
-// each accepted level: (1-based level index, the coarse problem).
-// `fixed` pins finest-level vertices; the pins propagate level by level.
-// The stack borrows `finest`, which must outlive it.
+// reaches max(coarse_target, 4*K), max_levels is hit, or matching stalls.
+// `on_level` (optional) observes each accepted level: (1-based level
+// index, the coarse problem). `fixed` pins finest-level vertices; the
+// pins propagate level by level. The stack borrows `finest`, which must
+// outlive it.
 LevelStack build_level_stack(
     const ProblemView& finest, const CoarsenOptions& options,
-    Rng* rng = nullptr,
     const std::function<void(int, const PartitionProblem&)>& on_level = {},
     const std::vector<int>* fixed = nullptr);
 
 // Same, on a bare problem: the stack builds and owns the finest view.
 LevelStack build_level_stack(
     const PartitionProblem& finest, const CoarsenOptions& options,
-    Rng* rng = nullptr,
     const std::function<void(int, const PartitionProblem&)>& on_level = {},
     const std::vector<int>* fixed = nullptr);
 

@@ -510,7 +510,7 @@ namespace {
 // everything else untouched, so a RunReport attached through the registry
 // carries the name the engine was created under (e.g. "gradient" rather
 // than the Solver's internal "solver"). Nested run_start events (the
-// multilevel driver forwards its coarse Solver's stream) keep their own
+// V-cycle driver forwards its coarse Solver's stream) keep their own
 // engine tag. Delivery is already serialized by the engine's TraceSink, so
 // the depth counter needs no lock.
 class EngineNameObserver final : public obs::SolverObserver {

@@ -1,8 +1,7 @@
 // Incremental evaluation of single-gate moves against the discrete
 // weighted cost (c1*F1 + c2*F2 + c3*F3; F4 is constant over one-hot
-// assignments). Shared by the greedy refinement pass, the simulated
-// annealer and the multilevel refiner: delta() is O(degree), apply() is
-// O(1).
+// assignments). Shared by the refiners of core/refine.h and the V-cycle
+// and by the simulated annealer: delta() is O(degree), apply() is O(1).
 //
 // A move's delta splits in two. The F1 part is a sum over the gate's own
 // edges and changes only when the gate or a neighbor moves; the F2/F3

@@ -1,7 +1,6 @@
 #include "core/refine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <queue>
 #include <tuple>
@@ -11,19 +10,14 @@
 
 namespace sfqpart {
 
-RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
-                              Rng& rng, const RefineOptions& options,
-                              obs::TraceSink* sink, int restart,
-                              const std::vector<int>* fixed) {
-  const int num_gates = model.problem().num_gates;
-  const int num_planes = model.problem().num_planes;
-  assert(static_cast<int>(labels.size()) == num_gates);
-
-  MoveEvaluator eval(model, labels);
+RefineResult refine_partition(MoveEvaluator& eval, Rng& rng,
+                              const RefineOptions& options,
+                              const std::vector<int>* fixed,
+                              obs::TraceSink* sink, int restart) {
+  const int num_gates = eval.num_gates();
+  const int num_planes = eval.num_planes();
 
   RefineResult result;
-  result.initial_cost = eval.current_cost();
-
   std::vector<int> order(static_cast<std::size_t>(num_gates));
   std::iota(order.begin(), order.end(), 0);
   for (int pass = 0; pass < options.max_passes; ++pass) {
@@ -54,8 +48,6 @@ RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
     }
     if (moves_this_pass < options.min_moves_per_pass) break;
   }
-  labels = eval.labels();
-  result.final_cost = eval.current_cost();
   return result;
 }
 

@@ -1,15 +1,15 @@
-// Greedy discrete refinement of a hardened partition.
+// Discrete move-based refinement of a hardened partition.
 //
-// The paper stops at the argmax of the converged soft assignment. This
-// optional pass (off by default for paper fidelity, see SolverConfig)
-// sweeps gates in random order and applies single-gate moves that reduce
-// the *discrete* weighted cost, using incremental delta evaluation. It is
-// the ablation point A2 of DESIGN.md.
+// refine_partition sweeps gates in random order and applies single-gate
+// moves that reduce the *discrete* weighted cost, using incremental delta
+// evaluation. The gradient engine runs it after hardening (optional, off
+// by default for paper fidelity; the ablation point A2 of DESIGN.md), and
+// the multilevel preset of the V-cycle runs it after each projection
+// (core/vcycle.h). bucket_refine is the FM-style best-gain alternative.
 #pragma once
 
 #include <vector>
 
-#include "core/cost_model.h"
 #include "core/move_eval.h"
 #include "util/rng.h"
 
@@ -28,20 +28,19 @@ struct RefineOptions {
 struct RefineResult {
   int passes = 0;
   int moves = 0;
-  double initial_cost = 0.0;
-  double final_cost = 0.0;
 };
 
-// Improves `labels` in place (compact indices, 0-based planes). When a
-// TraceSink is supplied, one RefinePassEvent per pass is emitted, tagged
-// with `restart` (restart < 0 marks refits outside the restart loop, e.g.
-// the multilevel projection polish). `fixed` (compact-indexed, -1 = free;
-// null = unconstrained) marks gates the pass must not move — the null
-// path is byte-identical to the pre-constraint code.
-RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
-                              Rng& rng, const RefineOptions& options = {},
-                              obs::TraceSink* sink = nullptr, int restart = -1,
-                              const std::vector<int>* fixed = nullptr);
+// Improves the evaluator's labels in place: each pass shuffles the gate
+// order with `rng`, then moves every gate to its best strictly improving
+// plane (any of the K). `fixed` (compact-indexed, -1 = free; null =
+// unconstrained) marks gates the pass must not move. When a TraceSink is
+// supplied, one RefinePassEvent per pass is emitted, tagged with
+// `restart`. The final labels are not re-scored: callers that need the
+// cost ask eval.current_cost().
+RefineResult refine_partition(MoveEvaluator& eval, Rng& rng,
+                              const RefineOptions& options = {},
+                              const std::vector<int>* fixed = nullptr,
+                              obs::TraceSink* sink = nullptr, int restart = 0);
 
 struct BucketRefineStats {
   long long moves = 0;

@@ -227,8 +227,10 @@ StatusOr<LabelResult> Solver::solve(const PartitionProblem& problem) const {
     }
     if (config_.refine) {
       obs::ScopedTimer timer(&sink, "refine", restart);
-      refine_partition(model, out.labels, rng, config_.refine_options, &sink,
-                       restart, config_.fixed_labels);
+      MoveEvaluator eval(model, std::move(out.labels));
+      refine_partition(eval, rng, config_.refine_options, config_.fixed_labels,
+                       &sink, restart);
+      out.labels = eval.labels();
     }
     out.soft_terms = opt.final_terms;
     out.discrete_terms = model.evaluate_discrete(out.labels);

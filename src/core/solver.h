@@ -105,7 +105,7 @@ struct SolverResult {
 
 // Core-solve result as compact labels (0-based planes indexed like the
 // problem), for callers that manage their own problems (e.g. the
-// multilevel driver, whose coarse problems do not map to netlist gates).
+// V-cycle driver, whose coarse problems do not map to netlist gates).
 // Produced by Solver::solve.
 struct LabelResult {
   std::vector<int> labels;
@@ -141,7 +141,7 @@ class Solver {
                                 int netlist_num_gates) const;
 
   // Core solve returning compact labels for callers that manage their own
-  // problems (e.g. the multilevel driver).
+  // problems (e.g. the V-cycle driver).
   StatusOr<LabelResult> solve(const PartitionProblem& problem) const;
 
  private:

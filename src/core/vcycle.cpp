@@ -4,12 +4,14 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/coarsen.h"
 #include "core/move_eval.h"
 #include "core/problem_view.h"
 #include "obs/trace_sink.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace sfqpart {
@@ -179,7 +181,7 @@ VcycleResult vcycle_partition(const ProblemView& finest_view,
     info.num_planes = num_planes;
     info.restarts = options.coarse.restarts;
     info.seed = options.seed;
-    info.refine = true;  // banded refinement always runs on uncoarsen
+    info.refine = true;  // refinement always runs on uncoarsen
     info.weights = options.coarse.weights;
     info.gradient_style = options.coarse.gradient_style;
     info.learning_rate = options.coarse.optimizer.learning_rate;
@@ -191,9 +193,8 @@ VcycleResult vcycle_partition(const ProblemView& finest_view,
     sink.run_start(info);
   }
 
-  // Coarsen in the pinned kDegreeSorted order: level shape is a pure
-  // function of the graph — no Rng draw, no dependence on thread count
-  // or on what earlier stages consumed.
+  // Coarsen in the pinned degree-sorted order: level shape is a pure
+  // function of the graph — no Rng draw, no dependence on thread count.
   LevelStack stack;
   {
     obs::ScopedTimer timer(&sink, "coarsen");
@@ -204,10 +205,9 @@ VcycleResult vcycle_partition(const ProblemView& finest_view,
     CoarsenOptions coarsen_options;
     coarsen_options.coarse_target = options.coarse_target;
     coarsen_options.max_levels = options.max_levels;
-    coarsen_options.order = MatchOrder::kDegreeSorted;
     Clock::time_point level_start = Clock::now();
     stack = build_level_stack(
-        finest_view, coarsen_options, nullptr,
+        finest_view, coarsen_options,
         [&sink, &level_start](int level, const PartitionProblem& coarse) {
           const double elapsed = ms_since(level_start);
           level_start = Clock::now();
@@ -265,17 +265,23 @@ VcycleResult vcycle_partition(const ProblemView& finest_view,
     coarse_config.fixed_labels = stack.coarsest_fixed(options.fixed);
     coarse_config.warm_labels = coarse_warm;
     // Inputs were validated by the engine adapter; failure here is a
-    // programmer bug, mirroring the multilevel driver.
+    // programmer bug.
     labels = Solver(coarse_config).solve(coarsest).value().labels;
   }
 
-  // Uncoarsen: project, then banded parallel refinement per level. The
-  // pool is shared by the proposal sweeps and the cost-model reductions;
-  // per the executor's determinism contract it changes wall-clock only.
+  // Uncoarsen: project, then refine per level. The pool is shared by the
+  // banded proposal sweeps and the cost-model reductions; per the
+  // executor's determinism contract it changes wall-clock only.
   const int threads = options.threads == 0 ? ThreadPool::hardware_concurrency()
                                            : std::max(1, options.threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  // The greedy refiner's gate order: one stream across all levels, seeded
+  // like the coarse solve. The other refiners draw nothing.
+  std::optional<Rng> greedy_rng;
+  if (options.refine_style == VcycleRefineStyle::kGreedy) {
+    greedy_rng.emplace(options.seed);
+  }
   {
     obs::ScopedTimer timer(&sink, "uncoarsen");
     // Uncoarsening never returns to a coarser level: the loop's step pops
@@ -301,12 +307,23 @@ VcycleResult vcycle_partition(const ProblemView& finest_view,
       // traced (DESIGN.md section 8.3); the finest level's score is the
       // result's discrete_total either way.
       const double projected_cost = sink.enabled() ? eval.current_cost() : 0.0;
-      const long long moves =
-          options.refine_style == VcycleRefineStyle::kBuckets
-              ? bucket_refine(eval, options.band, options.refine, fine_fixed)
-                    .moves
-              : banded_refine(eval, options.band, options.refine, pool.get(),
-                              fine_fixed);
+      long long moves = 0;
+      switch (options.refine_style) {
+        case VcycleRefineStyle::kBanded:
+          moves = banded_refine(eval, options.band, options.refine, pool.get(),
+                                fine_fixed);
+          break;
+        case VcycleRefineStyle::kBuckets:
+          moves =
+              bucket_refine(eval, options.band, options.refine, fine_fixed)
+                  .moves;
+          break;
+        case VcycleRefineStyle::kGreedy:
+          moves = refine_partition(eval, *greedy_rng, options.refine,
+                                   fine_fixed)
+                      .moves;
+          break;
+      }
       result.refine_moves += moves;
       labels = eval.labels();
 

@@ -13,12 +13,12 @@
 //     where G*K is small and the relaxation is cheap — the PR 3 CSR
 //     gather kernels run there unchanged.
 //  3. Walk the stack back up: project labels onto each finer level and
-//     polish with banded parallel refinement — single-gate moves
-//     restricted to a gain band of +/-`band` planes around the gate's
-//     current plane (moves across many planes were already decided at
-//     coarse levels; the fine levels only smooth the boundary).
+//     polish, by default, with banded parallel refinement — single-gate
+//     moves restricted to a gain band of +/-`band` planes around the
+//     gate's current plane (moves across many planes were already
+//     decided at coarse levels; the fine levels only smooth the boundary).
 //
-// Each refinement pass is a deterministic propose/commit round: a
+// Each banded pass is a deterministic propose/commit round: a
 // parallel proposal sweep evaluates every gate's best in-band move
 // against the frozen pass-start labels (pure reads of the shared
 // MoveEvaluator, element-wise writes — bit-identical at any thread
@@ -28,6 +28,10 @@
 // honoring the repo's determinism contract (DESIGN.md section 7). Each
 // gate caches the F1 part of its in-band move gains, and only gates whose
 // neighborhood moved walk their neighbors again (DESIGN.md section 12.3).
+//
+// The `multilevel` engine is this driver preset to the paper's scale: a
+// 160-vertex coarse target, 20 levels and the greedy random-order
+// refiner of core/refine.h (VcycleRefineStyle::kGreedy).
 #pragma once
 
 #include "core/problem_view.h"
@@ -40,12 +44,15 @@ class SolverObserver;
 }  // namespace obs
 
 // Uncoarsening refinement flavor: banded parallel propose/commit sweeps
-// (the default), or serial FM-style best-gain bucket moves
-// (core/refine.h bucket_refine) — better final cost on boundary-heavy
-// graphs, serial wall-clock. A/B'd in bench/capacity_bench.
+// (the default), serial FM-style best-gain bucket moves (core/refine.h
+// bucket_refine) — better final cost on boundary-heavy graphs, serial
+// wall-clock, A/B'd in bench/capacity_bench — or serial greedy sweeps in
+// a seeded random gate order over all K planes (core/refine.h
+// refine_partition), the refiner of the `multilevel` preset.
 enum class VcycleRefineStyle {
   kBanded,
   kBuckets,
+  kGreedy,
 };
 
 struct VcycleOptions {
@@ -58,13 +65,15 @@ struct VcycleOptions {
   // Options for the coarse-level gradient-descent solve; num_planes,
   // seed, threads and the observer are overwritten by the driver.
   SolverConfig coarse;
-  // Gain band of the uncoarsening refinement: a gate may move at most
-  // this many planes away from its current plane per accepted move.
+  // Gain band of the banded and bucket refinement: a gate may move at
+  // most this many planes away from its current plane per accepted move.
+  // The greedy refiner ignores it.
   int band = 1;
-  // Pass caps of the per-level refinement (max_passes propose/commit
-  // rounds; a level stops early when a round commits fewer than
-  // min_moves_per_pass moves).
+  // Pass caps of the per-level refinement (max_passes rounds; a level
+  // stops early when a round commits fewer than min_moves_per_pass
+  // moves).
   RefineOptions refine;
+  // Seeds the coarse solve and the greedy refiner's gate order.
   std::uint64_t seed = 1;
   // Worker threads for the coarse solve and the proposal sweeps
   // (0 = all hardware threads, 1 = serial). Results are identical at
@@ -78,7 +87,7 @@ struct VcycleOptions {
   obs::SolverObserver* observer = nullptr;
   // Finest-level fixed planes (compact problem indices, -1 = free; not
   // owned). Pins propagate through coarsening, constrain the coarse solve
-  // and are never moved by the banded refinement. Null = unconstrained
+  // and are never moved by the refinement. Null = unconstrained
   // (bit-identical to the pre-constraint driver).
   const std::vector<int>* fixed = nullptr;
   // Finest-level warm-start labels (compact indices, -1 = unassigned; not

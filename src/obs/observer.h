@@ -1,10 +1,10 @@
 // Structured observability: the SolverObserver event interface.
 //
 // Every engine in the library (the gradient-descent Solver, the
-// multilevel driver, and the annealing / FM baselines) narrates a run as
+// V-cycle driver, and the annealing / FM baselines) narrates a run as
 // a stream of typed events through this interface: run start/end, restart
 // start/end, one event per optimizer iteration with the full CostTerms,
-// hardening, refine passes, multilevel coarsening levels, plus named
+// hardening, refine passes, V-cycle coarsening levels, plus named
 // scoped timers and counters. Events are delivered serialized (the
 // TraceSink holds a lock around each call), so observers need no internal
 // synchronization; with several worker threads, events from concurrent
@@ -30,7 +30,7 @@ namespace sfqpart::obs {
 // start. Deliberately decoupled from SolverConfig so obs has no
 // dependency on the facade header; engines fill what applies to them.
 struct RunInfo {
-  std::string engine = "solver";  // "solver" | "multilevel" | "annealing" | "fm_kway"
+  std::string engine = "solver";  // "solver" | "vcycle" | "annealing" | "fm_kway"
   int num_planes = 0;
   int restarts = 1;
   int threads = 1;  // effective worker threads
@@ -67,7 +67,7 @@ struct HardenEvent {
   double discrete_total = 0.0;
 };
 
-// One greedy refinement pass (restart < 0: multilevel projection refits).
+// One greedy refinement pass of a restart.
 struct RefinePassEvent {
   int restart = 0;
   int pass = 0;
@@ -84,8 +84,8 @@ struct RestartEndEvent {
   bool converged = false;
 };
 
-// One multilevel coarsening level. The shape fields (level, vertices,
-// edges) are emitted while coarsening; the V-cycle engine re-emits the
+// One V-cycle coarsening level. The shape fields (level, vertices,
+// edges) are emitted while coarsening; the driver re-emits the
 // same level index on the way back up with the refinement facts filled
 // in. Aggregating consumers (obs::RunReport) merge the two by level
 // index, so a level appears once in the report with both halves.
@@ -95,9 +95,9 @@ struct LevelEvent {
   long long num_edges = 0;
   // Per-level stage facts (0 when unknown or not applicable).
   double coarsen_ms = 0.0;      // wall time to build this level
-  double refine_ms = 0.0;       // banded refinement wall time at this level
+  double refine_ms = 0.0;       // refinement wall time at this level
   double projected_cost = 0.0;  // discrete cost after label projection
-  double refined_cost = 0.0;    // discrete cost after banded refinement
+  double refined_cost = 0.0;    // discrete cost after refinement
   int refine_moves = 0;
 };
 

@@ -46,7 +46,6 @@ void RunReport::on_harden(const HardenEvent& e) {
 }
 
 void RunReport::on_refine_pass(const RefinePassEvent& e) {
-  if (e.restart < 0) return;  // multilevel projection refits: counted via stages
   RestartCurve& c = curve(e.restart);
   c.refine_passes = e.pass + 1;
   c.refine_moves += e.moves;

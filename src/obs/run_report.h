@@ -2,10 +2,10 @@
 // report.
 //
 // Attach a RunReport as the observer of any engine (SolverConfig::observer,
-// MultilevelOptions::observer, AnnealingOptions::observer,
+// VcycleOptions::observer, AnnealingOptions::observer,
 // FmOptions::observer) and it collects the config snapshot, one
 // convergence curve per restart (iteration, weighted cost, full
-// CostTerms), per-stage wall-time totals, counters, multilevel levels and
+// CostTerms), per-stage wall-time totals, counters, V-cycle levels and
 // the final outcome. Callers add what the engine cannot know — the
 // circuit identity and the evaluated PartitionMetrics — then serialize
 // with to_json() / write_file(). The JSON schema
@@ -56,7 +56,7 @@ class RunReport final : public SolverObserver {
   };
 
   // SolverObserver hooks. A nested engine (e.g. the coarse Solver inside
-  // the multilevel driver) re-emits on_run_start; the first RunInfo wins
+  // the V-cycle driver) re-emits on_run_start; the first RunInfo wins
   // so the report describes the outermost engine.
   void on_run_start(const RunInfo& info) override;
   void on_restart_start(const RestartStartEvent& e) override;

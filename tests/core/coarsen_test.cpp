@@ -12,7 +12,6 @@
 #include "core/problem_view.h"
 #include "gen/scaled.h"
 #include "gen/suite.h"
-#include "util/rng.h"
 
 namespace sfqpart {
 namespace {
@@ -85,7 +84,7 @@ long long total_weight(const PartitionProblem& problem) {
 TEST(Coarsen, ProjectionIsTotalAndOnto) {
   const PartitionProblem fine = mapped_problem("c432", 5);
   const ProblemView view(fine);
-  const CoarseLevel level = coarsen_once(view, MatchOrder::kDegreeSorted);
+  const CoarseLevel level = coarsen_once(view);
 
   ASSERT_EQ(level.parent_of_fine.size(), static_cast<std::size_t>(fine.num_gates));
   std::vector<int> owners(static_cast<std::size_t>(level.problem.num_gates), 0);
@@ -103,7 +102,7 @@ TEST(Coarsen, ProjectionIsTotalAndOnto) {
 TEST(Coarsen, ProjectExpandsCoarseLabels) {
   const PartitionProblem fine = mapped_problem("ksa8", 3);
   const ProblemView view(fine);
-  const CoarseLevel level = coarsen_once(view, MatchOrder::kDegreeSorted);
+  const CoarseLevel level = coarsen_once(view);
 
   std::vector<int> coarse_labels(static_cast<std::size_t>(level.problem.num_gates));
   for (std::size_t i = 0; i < coarse_labels.size(); ++i) {
@@ -121,7 +120,7 @@ TEST(Coarsen, ProjectExpandsCoarseLabels) {
 TEST(Coarsen, PreservesTotalBiasAndArea) {
   const PartitionProblem fine = mapped_problem("c1908", 5);
   const ProblemView view(fine);
-  const CoarseLevel level = coarsen_once(view, MatchOrder::kDegreeSorted);
+  const CoarseLevel level = coarsen_once(view);
 
   double fine_bias = 0.0, coarse_bias = 0.0;
   for (const double b : fine.bias) fine_bias += b;
@@ -134,14 +133,13 @@ TEST(Coarsen, PreservesTotalBiasAndArea) {
   EXPECT_NEAR(fine_area, coarse_area, 1e-9 * fine_area);
 }
 
-// The satellite bugfix this PR pins: the kDegreeSorted visit order is a
-// pure function of the graph, so repeated builds agree exactly — no Rng
-// draw-count dependence.
+// The degree-sorted visit order is a pure function of the graph, so
+// repeated builds agree exactly — no Rng draw-count dependence.
 TEST(Coarsen, DegreeSortedOrderIsReproducible) {
   const PartitionProblem fine = mapped_problem("c1355", 5);
   const ProblemView view(fine);
-  const CoarseLevel a = coarsen_once(view, MatchOrder::kDegreeSorted);
-  const CoarseLevel b = coarsen_once(view, MatchOrder::kDegreeSorted);
+  const CoarseLevel a = coarsen_once(view);
+  const CoarseLevel b = coarsen_once(view);
   EXPECT_EQ(a.parent_of_fine, b.parent_of_fine);
   EXPECT_EQ(a.problem.num_gates, b.problem.num_gates);
   EXPECT_EQ(a.problem.edges, b.problem.edges);
@@ -247,9 +245,8 @@ void expect_stack_matches_references(const PartitionProblem& fine,
                                      const std::vector<int>* fixed) {
   CoarsenOptions options;
   options.coarse_target = coarse_target;
-  options.order = MatchOrder::kDegreeSorted;
   const LevelStack stack =
-      build_level_stack(fine, options, nullptr, {}, fixed);
+      build_level_stack(fine, options, {}, fixed);
   ASSERT_GE(stack.num_levels(), 2);
   const PartitionProblem* problem = &fine;
   const std::vector<int>* level_fixed = fixed;
@@ -283,8 +280,7 @@ TEST(Coarsen, VisitOrderAndMatchingMatchTheReferences) {
     star_pins[static_cast<std::size_t>(leaf)] = leaf % 3 == 0 ? -1 : leaf % 2;
   }
   const ProblemView star_view(star);
-  EXPECT_EQ(coarsen_once(star_view, MatchOrder::kDegreeSorted, nullptr,
-                         &star_pins)
+  EXPECT_EQ(coarsen_once(star_view, &star_pins)
                 .parent_of_fine,
             reference_parent_of_fine(star, &star_pins));
 
@@ -299,7 +295,6 @@ TEST(Coarsen, LevelStackViewsSurviveGrowthAndMoves) {
   const PartitionProblem fine = mapped_problem("c1908", 5);
   CoarsenOptions options;
   options.coarse_target = 40;
-  options.order = MatchOrder::kDegreeSorted;
   LevelStack stack;
   stack = build_level_stack(fine, options);
   ASSERT_GE(stack.num_levels(), 3);
@@ -331,22 +326,10 @@ TEST(Coarsen, LevelStackViewsSurviveGrowthAndMoves) {
   EXPECT_EQ(borrowed.num_levels(), moved.num_levels());
 }
 
-TEST(Coarsen, LegacyShuffleMatchesRngState) {
-  // The legacy order is deterministic given the Rng seed (and only the
-  // seed): two fresh Rngs with the same seed give the same level.
-  const PartitionProblem fine = mapped_problem("c499", 5);
-  const ProblemView view(fine);
-  Rng rng_a(7), rng_b(7);
-  const CoarseLevel a = coarsen_once(view, MatchOrder::kLegacyShuffle, &rng_a);
-  const CoarseLevel b = coarsen_once(view, MatchOrder::kLegacyShuffle, &rng_b);
-  EXPECT_EQ(a.parent_of_fine, b.parent_of_fine);
-}
-
 TEST(Coarsen, LevelStackReachesTarget) {
   const PartitionProblem fine = mapped_problem("c1355", 5);
   CoarsenOptions options;
   options.coarse_target = 64;
-  options.order = MatchOrder::kDegreeSorted;
   const LevelStack stack = build_level_stack(fine, options);
   ASSERT_GE(stack.num_levels(), 2);
   // Monotone shrink, and the floor 4*K is respected.
@@ -363,11 +346,10 @@ TEST(Coarsen, LevelStackCallbackSeesEveryLevel) {
   const PartitionProblem fine = mapped_problem("c1908", 5);
   CoarsenOptions options;
   options.coarse_target = 100;
-  options.order = MatchOrder::kDegreeSorted;
   std::vector<int> seen_levels;
   std::vector<int> seen_sizes;
   const LevelStack stack = build_level_stack(
-      fine, options, nullptr, [&](int level, const PartitionProblem& problem) {
+      fine, options, [&](int level, const PartitionProblem& problem) {
         seen_levels.push_back(level);
         seen_sizes.push_back(problem.num_gates);
       });
@@ -384,7 +366,7 @@ TEST(Coarsen, LevelStackCallbackSeesEveryLevel) {
 TEST(Coarsen, ConservesInterClusterEdgeWeight) {
   const PartitionProblem fine = mapped_problem("c1908", 5);
   const ProblemView view(fine);
-  const CoarseLevel level = coarsen_once(view, MatchOrder::kDegreeSorted);
+  const CoarseLevel level = coarsen_once(view);
   const PartitionProblem& coarse = level.problem;
 
   long long crossing = 0;
@@ -407,7 +389,7 @@ TEST(Coarsen, ConservesInterClusterEdgeWeight) {
   // The collapse is what keeps coarse levels sparse: level 2 would
   // otherwise carry every parallel edge of level 1 again.
   const ProblemView coarse_view(coarse);
-  const CoarseLevel next = coarsen_once(coarse_view, MatchOrder::kDegreeSorted);
+  const CoarseLevel next = coarsen_once(coarse_view);
   EXPECT_LT(next.problem.edges.size(), coarse.edges.size());
 }
 
@@ -418,15 +400,15 @@ TEST(Coarsen, WeightedGraphCoarsensLikeItsExpandedTwin) {
   const PartitionProblem fine = mapped_problem("c1355", 5);
   const ProblemView fine_view(fine);
   const PartitionProblem weighted =
-      coarsen_once(fine_view, MatchOrder::kDegreeSorted).problem;
+      coarsen_once(fine_view).problem;
   ASSERT_GT(total_weight(weighted),
             static_cast<long long>(weighted.edges.size()));
   const PartitionProblem twin = expanded_twin(weighted);
 
   const ProblemView weighted_view(weighted);
   const ProblemView twin_view(twin);
-  const CoarseLevel a = coarsen_once(weighted_view, MatchOrder::kDegreeSorted);
-  const CoarseLevel b = coarsen_once(twin_view, MatchOrder::kDegreeSorted);
+  const CoarseLevel a = coarsen_once(weighted_view);
+  const CoarseLevel b = coarsen_once(twin_view);
   EXPECT_EQ(a.parent_of_fine, b.parent_of_fine);
   EXPECT_EQ(a.problem.edges, b.problem.edges);
   EXPECT_EQ(a.problem.edge_weights, b.problem.edge_weights);
@@ -438,13 +420,12 @@ TEST(Coarsen, WeightedGraphCoarsensLikeItsExpandedTwin) {
 TEST(Coarsen, StarCoarsensPastTheStallGuard) {
   const PartitionProblem star = star_problem(64, 2);
   const ProblemView view(star);
-  const CoarseLevel level = coarsen_once(view, MatchOrder::kDegreeSorted);
+  const CoarseLevel level = coarsen_once(view);
   // hub + one leaf, 31 leaf pairs, one leaf left over.
   EXPECT_EQ(level.problem.num_gates, 33);
 
   CoarsenOptions options;
   options.coarse_target = 8;
-  options.order = MatchOrder::kDegreeSorted;
   const LevelStack stack = build_level_stack(star, options);
   EXPECT_LE(stack.coarsest(star).num_gates, options.coarse_target);
 }
@@ -461,7 +442,7 @@ TEST(Coarsen, TwoHopNeverPairsVerticesPinnedApart) {
   }
   const ProblemView view(star);
   const CoarseLevel level =
-      coarsen_once(view, MatchOrder::kDegreeSorted, nullptr, &fixed);
+      coarsen_once(view, &fixed);
 
   std::vector<std::vector<int>> children(
       static_cast<std::size_t>(level.problem.num_gates));
@@ -499,7 +480,6 @@ TEST(Coarsen, ScaledChipReachesCoarseTarget) {
   CoarsenOptions options;
   options.coarse_target = 1024;
   options.max_levels = 64;
-  options.order = MatchOrder::kDegreeSorted;
   const LevelStack stack = build_level_stack(fine, options);
   EXPECT_LE(stack.coarsest(fine).num_gates, options.coarse_target);
 }

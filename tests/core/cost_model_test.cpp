@@ -127,7 +127,7 @@ TEST(CostModel, EvaluateDiscreteMatchesOneHotEvaluate) {
   // A weighted coarse level of the largest circuit.
   const PartitionProblem& largest = problems.back().second;
   problems.emplace_back(
-      "coarse", coarsen_once(ProblemView(largest), MatchOrder::kDegreeSorted)
+      "coarse", coarsen_once(ProblemView(largest))
                     .problem);
   ASSERT_FALSE(problems.back().second.edge_weights.empty());
 

@@ -194,7 +194,7 @@ TEST_P(MoveEvalSplit, F1PartialsPlusPlaneTermsEqualDeltaBitwise) {
       PartitionProblem::from_netlist(build_scaled(params), k);
   const ProblemView netlist_view(netlist_problem);
   const CoarseLevel coarse =
-      coarsen_once(netlist_view, MatchOrder::kDegreeSorted);
+      coarsen_once(netlist_view);
   const PartitionProblem& problem = c.coarse ? coarse.problem : netlist_problem;
   if (c.coarse) {
     ASSERT_FALSE(problem.edge_weights.empty());

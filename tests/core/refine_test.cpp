@@ -31,11 +31,14 @@ TEST(Refine, NeverIncreasesDiscreteCost) {
     labels.push_back(static_cast<int>(rng.uniform_index(4)));
   }
   const double before = model.evaluate_discrete(labels).total(model.weights());
-  const RefineResult result = refine_partition(model, labels, rng);
-  EXPECT_NEAR(result.initial_cost, before, 1e-12);
-  EXPECT_LE(result.final_cost, result.initial_cost + 1e-12);
-  EXPECT_NEAR(result.final_cost,
-              model.evaluate_discrete(labels).total(model.weights()), 1e-9);
+  MoveEvaluator eval(model, labels);
+  const double initial_cost = eval.current_cost();
+  refine_partition(eval, rng);
+  EXPECT_NEAR(initial_cost, before, 1e-12);
+  EXPECT_LE(eval.current_cost(), initial_cost + 1e-12);
+  EXPECT_NEAR(eval.current_cost(),
+              model.evaluate_discrete(eval.labels()).total(model.weights()),
+              1e-9);
 }
 
 TEST(Refine, ImprovesARandomStartSubstantially) {
@@ -46,18 +49,20 @@ TEST(Refine, ImprovesARandomStartSubstantially) {
   for (int i = 0; i < 80; ++i) {
     labels.push_back(static_cast<int>(rng.uniform_index(5)));
   }
-  const RefineResult result = refine_partition(model, labels, rng);
+  MoveEvaluator eval(model, labels);
+  const double initial_cost = eval.current_cost();
+  const RefineResult result = refine_partition(eval, rng);
   EXPECT_GT(result.moves, 0);
-  EXPECT_LT(result.final_cost, 0.6 * result.initial_cost);
+  EXPECT_LT(eval.current_cost(), 0.6 * initial_cost);
 }
 
 TEST(Refine, LabelsStayInRange) {
   const PartitionProblem problem = grid_problem(40, 3, 5);
   const CostModel model(problem, CostWeights{});
   Rng rng(6);
-  std::vector<int> labels(40, 0);
-  refine_partition(model, labels, rng);
-  for (const int label : labels) {
+  MoveEvaluator eval(model, std::vector<int>(40, 0));
+  refine_partition(eval, rng);
+  for (const int label : eval.labels()) {
     EXPECT_GE(label, 0);
     EXPECT_LT(label, 3);
   }
@@ -79,20 +84,21 @@ TEST(Refine, FixedPointOfOptimalIsStable) {
   weights.c3 = 0.0;
   const CostModel model(problem, weights);
   Rng rng(7);
-  std::vector<int> labels{0, 0};
-  const RefineResult result = refine_partition(model, labels, rng);
+  MoveEvaluator eval(model, {0, 0});
+  const RefineResult result = refine_partition(eval, rng);
   EXPECT_EQ(result.moves, 0);
-  EXPECT_EQ(labels, (std::vector<int>{0, 0}));
+  EXPECT_EQ(eval.labels(), (std::vector<int>{0, 0}));
 }
 
 TEST(Refine, MaxPassesRespected) {
   const PartitionProblem problem = grid_problem(100, 6, 8);
   const CostModel model(problem, CostWeights{});
   Rng rng(9);
-  std::vector<int> labels(100, 0);  // terrible start: everything on plane 0
+  // Terrible start: everything on plane 0.
+  MoveEvaluator eval(model, std::vector<int>(100, 0));
   RefineOptions options;
   options.max_passes = 1;
-  const RefineResult result = refine_partition(model, labels, rng, options);
+  const RefineResult result = refine_partition(eval, rng, options);
   EXPECT_EQ(result.passes, 1);
 }
 

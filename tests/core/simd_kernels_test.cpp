@@ -311,7 +311,6 @@ WeightedPair weighted_and_twin() {
   CoarsenOptions options;
   options.coarse_target = 100;
   options.max_levels = 2;
-  options.order = MatchOrder::kDegreeSorted;
   const LevelStack stack = build_level_stack(fine, options);
   WeightedPair pair;
   pair.weighted = stack.coarsest(fine);

@@ -45,40 +45,52 @@ TEST(Vcycle, AssignsEveryGateToAValidPlane) {
   EXPECT_LT(result.coarse_gates, netlist.num_partitionable_gates());
 }
 
-// The V-cycle invariant: banded refinement only ever commits strictly
+constexpr VcycleRefineStyle kStyles[] = {VcycleRefineStyle::kBanded,
+                                         VcycleRefineStyle::kBuckets,
+                                         VcycleRefineStyle::kGreedy};
+
+// The V-cycle invariant: every refiner only ever commits strictly
 // improving moves, so every level's refined cost is at most its
 // projected cost.
 TEST(Vcycle, RefinementNeverWorsensALevel) {
   const Netlist netlist = scaled_20k();
-  obs::RunReport report;
-  VcycleOptions options;
-  options.observer = &report;
-  const VcycleResult result = vcycle_partition(netlist, 5, options);
-  ASSERT_GE(result.levels, 2);
+  for (const VcycleRefineStyle style : kStyles) {
+    obs::RunReport report;
+    VcycleOptions options;
+    options.refine_style = style;
+    options.observer = &report;
+    const VcycleResult result = vcycle_partition(netlist, 5, options);
+    ASSERT_GE(result.levels, 2);
 
-  int refined_levels = 0;
-  for (const obs::LevelEvent& level : report.levels()) {
-    if (level.level >= result.levels) continue;  // coarsest: no refinement
-    EXPECT_LE(level.refined_cost, level.projected_cost + 1e-9)
-        << "level " << level.level;
-    ++refined_levels;
+    int refined_levels = 0;
+    for (const obs::LevelEvent& level : report.levels()) {
+      if (level.level >= result.levels) continue;  // coarsest: no refinement
+      EXPECT_LE(level.refined_cost, level.projected_cost + 1e-9)
+          << "style " << static_cast<int>(style) << " level " << level.level;
+      ++refined_levels;
+    }
+    EXPECT_EQ(refined_levels, result.levels);
   }
-  EXPECT_EQ(refined_levels, result.levels);
 }
 
 // Determinism contract (DESIGN.md section 7): labels are bit-identical
-// at any thread count. The proposal sweep parallelizes over frozen
-// pass-start labels; the commit is serial in ascending gate order.
+// at any thread count. The banded proposal sweep parallelizes over
+// frozen pass-start labels, its commit is serial in ascending gate
+// order, and the greedy refiner is serial in its seeded order.
 TEST(Vcycle, LabelsIdenticalAcrossThreadCounts) {
   const Netlist netlist = scaled_20k();
-  std::vector<std::vector<int>> runs;
-  for (const int threads : {1, 2, 8}) {
-    VcycleOptions options;
-    options.threads = threads;
-    runs.push_back(vcycle_partition(netlist, 5, options).partition.plane_of);
+  for (const VcycleRefineStyle style :
+       {VcycleRefineStyle::kBanded, VcycleRefineStyle::kGreedy}) {
+    std::vector<std::vector<int>> runs;
+    for (const int threads : {1, 2, 8}) {
+      VcycleOptions options;
+      options.refine_style = style;
+      options.threads = threads;
+      runs.push_back(vcycle_partition(netlist, 5, options).partition.plane_of);
+    }
+    EXPECT_EQ(runs[0], runs[1]) << "style " << static_cast<int>(style);
+    EXPECT_EQ(runs[0], runs[2]) << "style " << static_cast<int>(style);
   }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
 }
 
 TEST(Vcycle, DeterministicInSeed) {
@@ -151,9 +163,10 @@ struct LabelPin {
 void PrintTo(const LabelPin& pin, std::ostream* os) { *os << pin.name; }
 
 // Golden labels of scaled_20k: the refinement may get faster, never
-// different. The hashes were recorded from the uncached propose/commit
-// sweep (one full delta() walk per gate and target), so they also pin
-// that the gain cache reproduces it bit for bit.
+// different. The banded hashes were recorded from the uncached
+// propose/commit sweep (one full delta() walk per gate and target), so
+// they also pin that the gain cache reproduces it bit for bit. The greedy
+// rows pin the refiner of the multilevel preset.
 class VcycleLabelPin : public ::testing::TestWithParam<LabelPin> {};
 
 TEST_P(VcycleLabelPin, ReproducesPinnedLabels) {
@@ -182,7 +195,11 @@ INSTANTIATE_TEST_SUITE_P(
         LabelPin{"pinned", 5, 1, true, VcycleRefineStyle::kBanded,
                  0x914d67573d3ca50bull},
         LabelPin{"buckets", 5, 1, false, VcycleRefineStyle::kBuckets,
-                 0xe0bdabd874466d66ull}),
+                 0xe0bdabd874466d66ull},
+        LabelPin{"greedy", 5, 1, false, VcycleRefineStyle::kGreedy,
+                 0xb3770d5baa40cf3cull},
+        LabelPin{"greedy_pinned", 5, 1, true, VcycleRefineStyle::kGreedy,
+                 0x89f5bdb306c3107eull}),
     [](const ::testing::TestParamInfo<LabelPin>& info) {
       return std::string(info.param.name);
     });
@@ -191,8 +208,7 @@ INSTANTIATE_TEST_SUITE_P(
 // must not change the answer or its reported cost.
 TEST(Vcycle, ObservedRunMatchesUnobservedRun) {
   const Netlist netlist = scaled_20k();
-  for (const VcycleRefineStyle style :
-       {VcycleRefineStyle::kBanded, VcycleRefineStyle::kBuckets}) {
+  for (const VcycleRefineStyle style : kStyles) {
     VcycleOptions options;
     options.refine_style = style;
     const VcycleResult plain = vcycle_partition(netlist, 5, options);

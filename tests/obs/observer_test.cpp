@@ -11,7 +11,6 @@
 #include "baseline/annealing.h"
 #include "baseline/fm_kway.h"
 #include "core/engine.h"
-#include "core/multilevel.h"
 #include "core/solver.h"
 #include "gen/suite.h"
 
@@ -250,19 +249,23 @@ TEST(Observer, SolverErrorsEmitNoEvents) {
 TEST(Observer, MultilevelEmitsLevelsAndForwardsCoarseSolve) {
   const Netlist netlist = build_mapped("ksa16");
   Recorder recorder;
-  MultilevelOptions options;
-  options.observer = &recorder;
-  const MultilevelResult result = multilevel_partition(netlist, 4, options);
-  EXPECT_GT(result.levels, 0);
+  const auto engine = EngineRegistry::create("multilevel");
+  ASSERT_TRUE(engine.is_ok());
+  EngineContext context;
+  context.num_planes = 4;
+  context.certify = false;  // its counters would follow run_end
+  context.observer = &recorder;
+  const auto run = (*engine)->run(netlist, context);
+  ASSERT_TRUE(run.is_ok()) << run.status().message();
+  const int result_levels = static_cast<int>(run->counter("levels"));
+  EXPECT_GT(result_levels, 0);
 
   int levels = 0;
-  bool saw_projection_refit = false;
   for (const Recorded& e : recorder.events) {
     if (e.type == "level") ++levels;
-    if (e.type == "refine_pass" && e.restart < 0) saw_projection_refit = true;
   }
-  EXPECT_EQ(levels, result.levels + 1);  // finest level 0 + each coarsening
-  EXPECT_TRUE(saw_projection_refit);
+  // Down: the finest level 0 + each coarsening; up: each refined level.
+  EXPECT_EQ(levels, 2 * result_levels + 1);
   // The outer drive announces itself first, then the coarse Solver
   // (which inherits the observer) nests its own run inside.
   ASSERT_EQ(recorder.infos.size(), 2u);

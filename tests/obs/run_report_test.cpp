@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/multilevel.h"
+#include "core/engine.h"
 #include "core/solver.h"
 #include "gen/suite.h"
 #include "metrics/partition_metrics.h"
@@ -128,16 +128,21 @@ TEST(RunReport, JsonRoundTripsThroughTheParser) {
 TEST(RunReport, MultilevelRunRecordsLevels) {
   const Netlist netlist = build_mapped("c3540");
   obs::RunReport report;
-  MultilevelOptions options;
-  options.observer = &report;
-  const MultilevelResult result = multilevel_partition(netlist, 4, options);
-  ASSERT_GT(result.levels, 0);
+  const auto engine = EngineRegistry::create("multilevel");
+  ASSERT_TRUE(engine.is_ok());
+  EngineContext context;
+  context.num_planes = 4;
+  context.observer = &report;
+  const auto run = (*engine)->run(netlist, context);
+  ASSERT_TRUE(run.is_ok()) << run.status().message();
+  const auto result_levels = static_cast<std::size_t>(run->counter("levels"));
+  ASSERT_GT(result_levels, 0u);
 
-  // The first run_start wins: the report describes the multilevel-driven
-  // coarse solve, and the levels array mirrors the coarsening.
+  // The first run_start wins: the report describes the outer V-cycle,
+  // not its coarse solve, and the levels array mirrors the coarsening.
   ASSERT_TRUE(report.has_run());
-  EXPECT_EQ(report.levels().size(),
-            static_cast<std::size_t>(result.levels) + 1);
+  EXPECT_EQ(report.info().engine, "multilevel");
+  EXPECT_EQ(report.levels().size(), result_levels + 1);
   EXPECT_GT(report.stage_ms("coarsen"), 0.0);
   EXPECT_GT(report.stage_ms("coarse_solve"), 0.0);
   EXPECT_GT(report.stage_ms("uncoarsen"), 0.0);

@@ -549,6 +549,39 @@ Status parse_sweep_axes(const std::string& spec, std::vector<SweepAxis>& out) {
   return Status::ok();
 }
 
+// The engine flags run_engine maps onto EngineContext, as the sweep's
+// base options: only the names the engine advertises, since every point
+// validates its options against that list. The per-gate flags have no
+// per-point form, so they are rejected rather than ignored.
+StatusOr<Json> sweep_base_options(const OptionsParser& options) {
+  for (const char* flag : {"pin", "group", "warm-start"}) {
+    if (!options.get_string(flag).empty()) {
+      return Status::invalid_argument(std::string("sweep: --") + flag +
+                                      " is not supported; every point runs "
+                                      "unconstrained and cold");
+    }
+  }
+  auto engine = EngineRegistry::create(options.get_string("engine"));
+  if (!engine) return engine.status();
+  Json flags = Json::object();
+  for (const char* name : {"planes", "seed", "restarts", "threads", "halo"}) {
+    flags.set(name, Json::number(options.get_int(name)));
+  }
+  flags.set("refine", Json::boolean(options.get_flag("refine")));
+  flags.set("compare_scratch",
+            Json::boolean(options.get_flag("compare-scratch")));
+  flags.set("refine_style", Json::string(options.get_string("refine-style")));
+  // As in run_engine: without --certify the build-type default stands.
+  if (options.get_flag("certify")) flags.set("certify", Json::boolean(true));
+  Json base = Json::object();
+  for (const OptionSpec& spec : (*engine)->describe_options()) {
+    if (const Json* value = flags.find(spec.name); value != nullptr) {
+      base.set(spec.name, *value);
+    }
+  }
+  return base;
+}
+
 int cmd_sweep(const OptionsParser& options) {
   auto netlist = load_netlist(options);
   if (!netlist) {
@@ -563,6 +596,12 @@ int cmd_sweep(const OptionsParser& options) {
     std::fprintf(stderr, "%s\n", st.message().c_str());
     return 1;
   }
+  auto base = sweep_base_options(options);
+  if (!base) {
+    std::fprintf(stderr, "%s\n", base.status().message().c_str());
+    return 1;
+  }
+  sweep.base_options = *std::move(base);
   const auto result = run_sweep(*netlist, sweep);
   if (!result) {
     std::fprintf(stderr, "%s\n", result.status().message().c_str());
