@@ -125,18 +125,17 @@ int run(int argc, char** argv) {
     params.seed = parser.get_int("seed") < 1
                       ? 1
                       : static_cast<std::uint64_t>(parser.get_int("seed"));
-    const auto gen_start = Clock::now();
-    const Netlist netlist = build_scaled(params);
-    const double gen_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - gen_start)
-            .count();
-
-    int partitionable = 0;
-    for (GateId g = 0; g < netlist.num_gates(); ++g) {
-      if (netlist.is_partitionable(g)) ++partitionable;
-    }
 
     for (const StyleCase& flavor : styles) {
+      // A fresh netlist per flavor: its memoized edge set is not built
+      // yet, so both flavors' problem_ms include the edge build.
+      const auto gen_start = Clock::now();
+      const Netlist netlist = build_scaled(params);
+      const double gen_ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - gen_start)
+              .count();
+      const int partitionable = netlist.num_partitionable_gates();
+
       obs::RunReport report;
       VcycleOptions options;
       options.seed = params.seed;

@@ -44,6 +44,14 @@ StatusOr<CompiledConstraints> compile_constraints(
     const Netlist& netlist, const GateConstraints& constraints,
     int num_planes) {
   CompiledConstraints out;
+  // Nothing declared (no pin, no non-empty group): nothing to resolve or
+  // validate, so the netlist is not read. Every reader branches on
+  // empty() before it indexes the arrays.
+  if (constraints.pins.empty() &&
+      std::all_of(constraints.groups.begin(), constraints.groups.end(),
+                  [](const auto& group) { return group.empty(); })) {
+    return out;
+  }
   out.fixed_of_gate.assign(static_cast<std::size_t>(netlist.num_gates()),
                            kUnassignedPlane);
 

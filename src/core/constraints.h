@@ -37,7 +37,9 @@ struct GateConstraints {
 };
 
 // Constraints resolved against one netlist: the only form the engines
-// consume. Gates not mentioned by any constraint are free (-1).
+// consume. Gates not mentioned by any constraint are free (-1). When
+// nothing is declared both arrays are empty, so read them only after
+// checking empty() (or through the *_or_null accessors).
 struct CompiledConstraints {
   // Indexed by netlist GateId; -1 = free, else the required plane.
   std::vector<int> fixed_of_gate;

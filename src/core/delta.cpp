@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 
 #include "util/hash.h"
@@ -26,8 +27,9 @@ std::uint64_t mix(std::uint64_t value) {
 
 // Per-gate signatures over the cost-relevant structure: the undirected
 // deduplicated partitionable edge set (exactly what PartitionProblem
-// extracts), plus the gate's cell. Each name is hashed once, not once
-// per incident edge; XOR commutes, so the fold order does not matter.
+// extracts, read from the same memo), plus the gate's cell. Each name is
+// hashed once, not once per incident edge; XOR commutes, so the fold
+// order does not matter.
 std::vector<std::uint64_t> signatures(const Netlist& netlist) {
   const auto n = static_cast<std::size_t>(netlist.num_gates());
   std::vector<std::uint64_t> name_hash(n);
@@ -55,6 +57,21 @@ struct Diff {
   std::vector<GateId> before_of;
 };
 
+// The same-named `before` gate, or kInvalidGate. A revision keeps the
+// gate order of its prior, so the `before` gate right after the previous
+// match (`next`) is tried first with one string compare; only a miss (a
+// removed, added or reordered gate) probes the name index. Names are
+// unique, so both paths return the same gate.
+GateId join_by_name(const Netlist& before, std::string_view name,
+                    GateId& next) {
+  const GateId old =
+      next < before.num_gates() && before.gate(next).name.view() == name
+          ? next
+          : before.find_gate(name);
+  if (old != kInvalidGate) next = old + 1;
+  return old;
+}
+
 Diff diff(const Netlist& before, const Netlist& after) {
   const std::vector<std::uint64_t> before_sig = signatures(before);
   const std::vector<std::uint64_t> after_sig = signatures(after);
@@ -64,9 +81,10 @@ Diff diff(const Netlist& before, const Netlist& after) {
   out.before_of.assign(static_cast<std::size_t>(after.num_gates()),
                        kInvalidGate);
   std::vector<char> matched(static_cast<std::size_t>(before.num_gates()), 0);
+  GateId next = 0;
   for (GateId g = 0; g < after.num_gates(); ++g) {
     if (!after.is_partitionable(g)) continue;
-    const GateId old = before.find_gate(after.gate(g).name.view());
+    const GateId old = join_by_name(before, after.gate(g).name.view(), next);
     if (old == kInvalidGate || !before.is_partitionable(old)) {
       delta.added.push_back(g);
       continue;

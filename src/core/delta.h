@@ -17,8 +17,12 @@
 // FNV-1a hashes of neighbor names, mixed with the cell index). GateIds
 // may shift arbitrarily between revisions; names are the join key.
 // The diff is linear in gates plus connections: each gate name is hashed
-// once per netlist and looked up once, and warm_start_from() reads that
-// same join instead of repeating it.
+// once per netlist, the name join tries the `before` gate after the
+// previous match before it probes the name index, and warm_start_from()
+// reads that same join instead of repeating it. Both edge sets come from
+// the netlists' memoized unique_edges(), so a prior diffed against a
+// stream of revisions builds its edges once, and the engine's problem
+// build reuses the edges the diff built for `after`.
 #pragma once
 
 #include <string>

@@ -236,6 +236,9 @@ StatusOr<Netlist> def_to_netlist(const DefDesign& design, const CellLibrary& lib
       return Status::error("component '" + comp.name + "': unknown macro '" +
                            comp.macro + "'");
     }
+    if (netlist.find_gate(comp.name) != kInvalidGate) {
+      return Status::error("duplicate component '" + comp.name + "'");
+    }
     comp_gate.emplace(comp.name, netlist.add_gate(comp.name, *cell));
   }
 
@@ -252,7 +255,14 @@ StatusOr<Netlist> def_to_netlist(const DefDesign& design, const CellLibrary& lib
       default:
         return Status::error("pin '" + pin.name + "': unsupported direction");
     }
-    pin_gate.emplace(pin.name, netlist.add_gate_of_kind("pin:" + pin.name, kind));
+    // Pins become gates named "pin:<pin>", so a repeated PIN and a
+    // COMPONENT that already holds that name collide alike.
+    const std::string gate_name = "pin:" + pin.name;
+    if (netlist.find_gate(gate_name) != kInvalidGate) {
+      return Status::error("pin '" + pin.name + "': gate name '" + gate_name +
+                           "' is already taken");
+    }
+    pin_gate.emplace(pin.name, netlist.add_gate_of_kind(gate_name, kind));
   }
 
   for (const DefNet& net : design.nets) {

@@ -26,11 +26,13 @@ GateId Netlist::add_gate(std::string_view name, int cell_index) {
   };
   assert(gate_name_index_.find(name, name_of) == NameIndex::kAbsent &&
          "duplicate gate name");
+  edge_memo_.reset();
   const GateId id = static_cast<GateId>(gates_.size());
   const NameRef interned = arena_->intern(name);
   gates_.push_back(Gate{interned, cell_index});
   gate_name_index_.insert(interned.view(), id, name_of);
   const Cell& cell = library_->cell(cell_index);
+  io_gate_.push_back(is_io_kind(cell.kind) ? 1 : 0);
   input_nets_.emplace_back(static_cast<std::size_t>(cell.num_inputs), kInvalidNet);
   output_nets_.emplace_back(static_cast<std::size_t>(cell.num_outputs), kInvalidNet);
   clock_nets_.push_back(kInvalidNet);
@@ -64,6 +66,7 @@ NetId Netlist::connect(GateId from, int out_pin, GateId to, int in_pin) {
   auto& inputs = input_nets_.at(static_cast<std::size_t>(to));
   assert(inputs[static_cast<std::size_t>(in_pin)] == kInvalidNet &&
          "input pin already connected");
+  edge_memo_.reset();
   const NetId net_id =
       net_for_output(from, out_pin, gate(from).name + "_o" + std::to_string(out_pin));
   nets_[static_cast<std::size_t>(net_id)].sinks.push_back(PinRef{to, in_pin});
@@ -75,6 +78,7 @@ NetId Netlist::connect_clock(GateId from, int out_pin, GateId to) {
   assert(cell_of(to).is_clocked() && "clock connection to unclocked cell");
   assert(clock_nets_.at(static_cast<std::size_t>(to)) == kInvalidNet &&
          "clock pin already connected");
+  edge_memo_.reset();
   const NetId net_id =
       net_for_output(from, out_pin, gate(from).name + "_o" + std::to_string(out_pin));
   nets_[static_cast<std::size_t>(net_id)].sinks.push_back(PinRef{to, kClockPin});
@@ -88,14 +92,9 @@ GateId Netlist::find_gate(std::string_view name) const {
   });
 }
 
-bool Netlist::is_io(GateId id) const { return is_io_kind(cell_of(id).kind); }
-
 int Netlist::num_partitionable_gates() const {
-  int count = 0;
-  for (GateId g = 0; g < num_gates(); ++g) {
-    if (is_partitionable(g)) ++count;
-  }
-  return count;
+  return num_gates() -
+         static_cast<int>(std::count(io_gate_.begin(), io_gate_.end(), 1));
 }
 
 NetId Netlist::output_net(GateId id, int out_pin) const {
@@ -135,29 +134,24 @@ std::vector<Connection> Netlist::connections() const {
   return out;
 }
 
-std::vector<Connection> Netlist::unique_edges() const {
+const std::vector<Connection>& Netlist::unique_edges() const {
+  return edge_memo_.get([this] { return build_unique_edges(); });
+}
+
+std::vector<Connection> Netlist::build_unique_edges() const {
   // Linear time: the canonical (lo, hi) pairs are bucketed by lo with a
   // counting pass, then each bucket (about 1.5 entries on a mapped
   // netlist) is sorted by hi and deduplicated on its own. Reading the
   // buckets in lo order gives exactly what a global (lo, hi) sort plus
   // unique would.
-  std::vector<char> partitionable_cell;
-  for (int c = 0; c < library_->num_cells(); ++c) {
-    partitionable_cell.push_back(!is_io_kind(library_->cell(c).kind));
-  }
   const std::size_t n = gates_.size();
-  std::vector<char> partitionable(n);
-  for (std::size_t g = 0; g < n; ++g) {
-    partitionable[g] =
-        partitionable_cell[static_cast<std::size_t>(gates_[g].cell)];
-  }
   const auto for_each_pair = [&](auto&& visit) {
     for (const Net& net : nets_) {
       const GateId driver = net.driver.gate;
       if (driver == kInvalidGate) continue;
-      if (!partitionable[static_cast<std::size_t>(driver)]) continue;
+      if (io_gate_[static_cast<std::size_t>(driver)]) continue;
       for (const PinRef& sink : net.sinks) {
-        if (!partitionable[static_cast<std::size_t>(sink.gate)]) continue;
+        if (io_gate_[static_cast<std::size_t>(sink.gate)]) continue;
         if (sink.gate == driver) continue;  // self loops carry no cost
         visit(std::min(driver, sink.gate), std::max(driver, sink.gate));
       }

@@ -9,8 +9,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "netlist/cell_library.h"
@@ -70,6 +73,8 @@ class Netlist {
   // --- Construction -------------------------------------------------------
 
   // Adds a gate instance; names must be unique within the netlist.
+  // Every mutator (add_gate, connect, connect_clock) drops the memoized
+  // unique_edges().
   GateId add_gate(std::string_view name, int cell_index);
 
   // Convenience: instantiate the library's first cell of `kind`.
@@ -94,8 +99,11 @@ class Netlist {
   double area_of(GateId id) const { return cell_of(id).area_um2; }
 
   // I/O interface cells sit on the pad-ring ground plane and are not
-  // partitioned (paper section III-B3).
-  bool is_io(GateId id) const;
+  // partitioned (paper section III-B3). One byte per gate, set by
+  // add_gate from the cell kind.
+  bool is_io(GateId id) const {
+    return io_gate_.at(static_cast<std::size_t>(id)) != 0;
+  }
   bool is_partitionable(GateId id) const { return !is_io(id); }
   int num_partitionable_gates() const;
 
@@ -121,8 +129,16 @@ class Netlist {
   std::vector<Connection> connections() const;
 
   // The connection set E of the paper: undirected, deduplicated pairs of
-  // *partitionable* gates. Pairs are canonicalized with from < to.
-  std::vector<Connection> unique_edges() const;
+  // *partitionable* gates. Pairs are canonicalized with from < to and
+  // sorted by (from, to).
+  //
+  // Memoized: built on the first call, then shared by every caller until
+  // the next mutation. The reference stays valid until the next mutation
+  // or the netlist's destruction; the memo holds 8 B per edge for as long
+  // as the netlist lives. Concurrent const callers are safe and build it
+  // once. A copy carries the source's edges when they are built; a move
+  // takes them and leaves the source to rebuild on demand.
+  const std::vector<Connection>& unique_edges() const;
 
   // Total bias current [mA] / area [um^2] over partitionable gates
   // (B_cir, A_cir of Table I).
@@ -147,7 +163,44 @@ class Netlist {
   std::size_t name_index_bytes() const { return gate_name_index_.bytes(); }
 
  private:
+  // The memo behind unique_edges(). Const callers build and read it
+  // under the mutex, so concurrent readers build it once and all get the
+  // one vector. Mutators, which never run beside const callers, drop it.
+  class EdgeMemo {
+   public:
+    EdgeMemo() = default;
+    EdgeMemo(const EdgeMemo& other) : edges_(other.snapshot()) {}
+    EdgeMemo(EdgeMemo&& other) noexcept
+        : edges_(std::exchange(other.edges_, std::nullopt)) {}
+    EdgeMemo& operator=(const EdgeMemo& other) {
+      if (this != &other) edges_ = other.snapshot();
+      return *this;
+    }
+    EdgeMemo& operator=(EdgeMemo&& other) noexcept {
+      edges_ = std::exchange(other.edges_, std::nullopt);
+      return *this;
+    }
+
+    template <typename Build>
+    const std::vector<Connection>& get(Build&& build) const {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!edges_) edges_ = build();
+      return *edges_;
+    }
+    void reset() { edges_.reset(); }
+
+   private:
+    std::optional<std::vector<Connection>> snapshot() const {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      return edges_;
+    }
+
+    mutable std::mutex mutex_;
+    mutable std::optional<std::vector<Connection>> edges_;  // under mutex_
+  };
+
   NetId net_for_output(GateId from, int out_pin, std::string_view fallback_name);
+  std::vector<Connection> build_unique_edges() const;
 
   std::string name_;
   const CellLibrary* library_;
@@ -155,6 +208,7 @@ class Netlist {
   // append-only and blocks never move).
   std::shared_ptr<NameArena> arena_;
   std::vector<Gate> gates_;
+  std::vector<std::uint8_t> io_gate_;  // parallel to gates_: 1 = I/O cell
   std::vector<Net> nets_;
   // Open-addressing id table (netlist/name_index.h): stores no keys at
   // all — probes resolve ids back to their interned names via gates_, so
@@ -164,6 +218,7 @@ class Netlist {
   std::vector<std::vector<NetId>> input_nets_;   // size = cell.num_inputs
   std::vector<std::vector<NetId>> output_nets_;  // size = cell.num_outputs
   std::vector<NetId> clock_nets_;                // kInvalidNet when none
+  EdgeMemo edge_memo_;
 };
 
 }  // namespace sfqpart

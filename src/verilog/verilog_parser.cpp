@@ -167,13 +167,25 @@ StatusOr<Netlist> verilog_to_netlist(const VerilogModule& module,
   std::map<std::string, Endpoint> driver_of;
   std::map<std::string, std::vector<Endpoint>> sinks_of;
 
+  // Ports become gates named "pin:<port>"; a port declared twice (as
+  // input, output or both) would name two gates alike.
+  const auto add_port = [&](const std::string& port,
+                            CellKind kind) -> StatusOr<GateId> {
+    const std::string name = "pin:" + port;
+    if (netlist.find_gate(name) != kInvalidGate) {
+      return Status::error("duplicate port '" + port + "'");
+    }
+    return netlist.add_gate_of_kind(name, kind);
+  };
   for (const std::string& port : module.inputs) {
-    const GateId g = netlist.add_gate_of_kind("pin:" + port, CellKind::kInput);
-    driver_of.emplace(port, Endpoint{g, 0, false});
+    const auto g = add_port(port, CellKind::kInput);
+    if (!g) return g.status();
+    driver_of.emplace(port, Endpoint{*g, 0, false});
   }
   for (const std::string& port : module.outputs) {
-    const GateId g = netlist.add_gate_of_kind("pin:" + port, CellKind::kOutput);
-    sinks_of[port].push_back(Endpoint{g, 0, false});
+    const auto g = add_port(port, CellKind::kOutput);
+    if (!g) return g.status();
+    sinks_of[port].push_back(Endpoint{*g, 0, false});
   }
 
   for (const VerilogInstance& instance : module.instances) {

@@ -46,6 +46,14 @@ TEST(Constraints, EmptyDeclarationCompilesToNullPointers) {
   EXPECT_EQ(compiled->num_fixed, 0);
   EXPECT_EQ(compiled->compact_or_null(), nullptr);
   EXPECT_EQ(compiled->gate_or_null(), nullptr);
+
+  // Only empty groups declare nothing either.
+  GateConstraints empty_groups;
+  empty_groups.groups = {{}, {}};
+  const auto groups = compile_constraints(netlist, empty_groups, 3);
+  ASSERT_TRUE(groups.is_ok());
+  EXPECT_TRUE(groups->empty());
+  EXPECT_EQ(groups->compact_or_null(), nullptr);
 }
 
 TEST(Constraints, PinsCompileIntoBothIndexings) {
@@ -220,7 +228,8 @@ TEST(Constraints, EveryEngineRejectsInfeasiblePinsUniformly) {
 }
 
 // Pinning must not perturb the unconstrained code path: a run with an
-// empty declaration is bit-identical to a run with no declaration.
+// empty declaration, or one that holds only empty groups, is
+// bit-identical to a run with no declaration.
 TEST(Constraints, EmptyConstraintsAreByteIdenticalNoOp) {
   const Netlist netlist = tiny_netlist();
   InitialPartition warm;
@@ -235,11 +244,16 @@ TEST(Constraints, EmptyConstraintsAreByteIdenticalNoOp) {
     if (name == "eco") plain.warm_start = &warm;
     EngineContext declared = plain;
     declared.constraints = GateConstraints{};
+    EngineContext empty_groups = plain;
+    empty_groups.constraints.groups = {{}, {}};
     const auto a = (*engine)->run(netlist, plain);
     const auto b = (*engine)->run(netlist, declared);
+    const auto c = (*engine)->run(netlist, empty_groups);
     ASSERT_TRUE(a.is_ok()) << name;
     ASSERT_TRUE(b.is_ok()) << name;
+    ASSERT_TRUE(c.is_ok()) << name;
     EXPECT_EQ(a->partition.plane_of, b->partition.plane_of) << name;
+    EXPECT_EQ(a->partition.plane_of, c->partition.plane_of) << name;
   }
 }
 

@@ -2,9 +2,12 @@
 // (core/delta.h + gen/mutate.h + engine "eco").
 #include "core/delta.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +180,167 @@ TEST(Delta, ReproducesPinnedDeltasAndWarmStarts) {
           << after.gate(g).name;
     }
   }
+}
+
+// A copy of `source` whose gates are added in `order` (a permutation of
+// its GateIds) under the names `name_of(gate)` gives, with every net
+// rewired alike.
+template <typename NameOf>
+Netlist rebuild(const Netlist& source, const std::vector<GateId>& order,
+                NameOf&& name_of) {
+  Netlist out(&source.library(), source.name());
+  std::vector<GateId> new_id(static_cast<std::size_t>(source.num_gates()),
+                             kInvalidGate);
+  for (const GateId g : order) {
+    new_id[static_cast<std::size_t>(g)] =
+        out.add_gate(name_of(g), source.gate(g).cell);
+  }
+  for (NetId n = 0; n < source.num_nets(); ++n) {
+    const Net& net = source.net(n);
+    if (net.driver.gate == kInvalidGate) continue;
+    const GateId from = new_id[static_cast<std::size_t>(net.driver.gate)];
+    for (const PinRef& sink : net.sinks) {
+      const GateId to = new_id[static_cast<std::size_t>(sink.gate)];
+      if (sink.pin == kClockPin) {
+        out.connect_clock(from, net.driver.pin, to);
+      } else {
+        out.connect(from, net.driver.pin, to, sink.pin);
+      }
+    }
+  }
+  return out;
+}
+
+// Each gate's partitionable neighbors by name, sorted.
+std::vector<std::vector<std::string_view>> neighbor_names(
+    const Netlist& netlist) {
+  std::vector<std::vector<std::string_view>> names(
+      static_cast<std::size_t>(netlist.num_gates()));
+  for (const Connection& edge : netlist.unique_edges()) {
+    names[static_cast<std::size_t>(edge.from)].push_back(
+        netlist.gate(edge.to).name.view());
+    names[static_cast<std::size_t>(edge.to)].push_back(
+        netlist.gate(edge.from).name.view());
+  }
+  for (auto& list : names) std::sort(list.begin(), list.end());
+  return names;
+}
+
+struct ReferenceDiff {
+  NetlistDelta delta;
+  InitialPartition warm;
+};
+
+// The diff by its definition: every name looked up in the index, and a
+// gate changed when its cell or its set of neighbor names differs,
+// compared as sets rather than hashed signatures.
+ReferenceDiff reference_diff(const Partition& before_partition,
+                             const Netlist& before, const Netlist& after) {
+  const auto before_neighbors = neighbor_names(before);
+  const auto after_neighbors = neighbor_names(after);
+  ReferenceDiff out;
+  out.warm.plane_of.assign(static_cast<std::size_t>(after.num_gates()),
+                           kUnassignedPlane);
+  std::vector<char> matched(static_cast<std::size_t>(before.num_gates()), 0);
+  for (GateId g = 0; g < after.num_gates(); ++g) {
+    if (!after.is_partitionable(g)) continue;
+    const GateId old = before.find_gate(after.gate(g).name.view());
+    if (old == kInvalidGate || !before.is_partitionable(old)) {
+      out.delta.added.push_back(g);
+      continue;
+    }
+    matched[static_cast<std::size_t>(old)] = 1;
+    if (before.gate(old).cell != after.gate(g).cell ||
+        before_neighbors[static_cast<std::size_t>(old)] !=
+            after_neighbors[static_cast<std::size_t>(g)]) {
+      out.delta.changed.push_back(g);
+    } else {
+      ++out.delta.unchanged;
+      out.warm.plane_of[static_cast<std::size_t>(g)] =
+          before_partition.plane(old);
+    }
+  }
+  for (GateId g = 0; g < before.num_gates(); ++g) {
+    if (before.is_partitionable(g) && !matched[static_cast<std::size_t>(g)]) {
+      out.delta.removed.push_back(std::string(before.gate(g).name));
+    }
+  }
+  return out;
+}
+
+// The join tries the `before` gate after the previous match first. A
+// revision in reversed gate order misses on every gate, a prior with I/O
+// gates between its logic gates misses after each of them, and renamed
+// I/O gates (one of whose names a logic gate takes over) miss too; every
+// miss falls back to the name index, and the delta and the warm start
+// must be the index-only join's.
+TEST(Delta, OrderedJoinFallbackMatchesAnIndexOnlyJoin) {
+  const Netlist base = small_scaled();
+  std::vector<GateId> io;
+  std::vector<GateId> logic;
+  for (GateId g = 0; g < base.num_gates(); ++g) {
+    (base.is_io(g) ? io : logic).push_back(g);
+  }
+  ASSERT_FALSE(io.empty());
+  std::vector<GateId> interleaved;
+  std::size_t next_io = 0;
+  for (std::size_t i = 0; i < logic.size(); ++i) {
+    interleaved.push_back(logic[i]);
+    if (i % 7 == 0 && next_io < io.size()) interleaved.push_back(io[next_io++]);
+  }
+  interleaved.insert(interleaved.end(), io.begin() + static_cast<long>(next_io),
+                     io.end());
+  const auto same_name = [](const Netlist& netlist) {
+    return [source = &netlist](GateId g) {
+      return std::string(source->gate(g).name);
+    };
+  };
+  const Netlist before = rebuild(base, interleaved, same_name(base));
+  const VcycleResult parent = vcycle_partition(before, kPlanes);
+
+  MutateParams params;
+  params.seed = 4;
+  const Netlist mutated = mutate_netlist(before, params, nullptr);
+  std::vector<GateId> order(static_cast<std::size_t>(mutated.num_gates()));
+  std::iota(order.begin(), order.end(), GateId{0});
+  const Netlist ordered = rebuild(mutated, order, same_name(mutated));
+  std::reverse(order.begin(), order.end());
+  const Netlist reversed = rebuild(mutated, order, same_name(mutated));
+  std::reverse(order.begin(), order.end());
+  // Every I/O gate renamed; the first logic gate takes the first I/O
+  // gate's old name, so it joins an I/O gate and counts as added.
+  GateId first_io = kInvalidGate;
+  GateId first_logic = kInvalidGate;
+  for (GateId g = mutated.num_gates() - 1; g >= 0; --g) {
+    (mutated.is_io(g) ? first_io : first_logic) = g;
+  }
+  const Netlist renamed = rebuild(mutated, order, [&](GateId g) {
+    if (mutated.is_io(g)) return std::string(mutated.gate(g).name) + "_r";
+    if (g == first_logic) return std::string(mutated.gate(first_io).name);
+    return std::string(mutated.gate(g).name);
+  });
+
+  for (const Netlist* after : {&ordered, &reversed, &renamed}) {
+    SCOPED_TRACE(after == &ordered    ? "ordered"
+                 : after == &reversed ? "reversed"
+                                      : "renamed");
+    const ReferenceDiff expected =
+        reference_diff(parent.partition, before, *after);
+    const NetlistDelta delta = compute_delta(before, *after);
+    EXPECT_EQ(delta.added, expected.delta.added);
+    EXPECT_EQ(delta.removed, expected.delta.removed);
+    EXPECT_EQ(delta.changed, expected.delta.changed);
+    EXPECT_EQ(delta.unchanged, expected.delta.unchanged);
+    EXPECT_GT(delta.unchanged, 0);
+    EXPECT_EQ(warm_start_from(parent.partition, before, *after).plane_of,
+              expected.warm.plane_of);
+  }
+  const GateId taken = renamed.find_gate(mutated.gate(first_io).name.view());
+  ASSERT_NE(taken, kInvalidGate);
+  EXPECT_TRUE(renamed.is_partitionable(taken));
+  const NetlistDelta delta = compute_delta(before, renamed);
+  EXPECT_NE(std::find(delta.added.begin(), delta.added.end(), taken),
+            delta.added.end());
 }
 
 TEST(Delta, RepartitionRejectsAMismatchedPartition) {

@@ -1,5 +1,7 @@
 #include "def/def_parser.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace sfqpart::def {
@@ -144,6 +146,36 @@ TEST(DefToNetlist, RejectsBadReferences) {
     ASSERT_TRUE(design.is_ok());
     EXPECT_FALSE(def_to_netlist(*design, sfqpart::default_sfq_library()).is_ok());
   }
+}
+
+// Gate names are the join key of the ECO diff and of warm-start CSVs, so
+// a name two gates would share is an input error naming the duplicate.
+TEST(DefToNetlist, RejectsDuplicateGateNames) {
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& needle) {
+    auto design = parse_def(text);
+    ASSERT_TRUE(design.is_ok()) << design.status().message();
+    const auto netlist =
+        def_to_netlist(*design, sfqpart::default_sfq_library());
+    ASSERT_FALSE(netlist.is_ok()) << needle;
+    EXPECT_NE(netlist.status().message().find(needle), std::string::npos)
+        << netlist.status().message();
+  };
+  // A repeated COMPONENT.
+  expect_rejected(
+      "DESIGN x ;\nCOMPONENTS 2 ;\n- g1 DFFT ;\n- g1 JTL ;\n"
+      "END COMPONENTS\nEND DESIGN",
+      "'g1'");
+  // A repeated PIN.
+  expect_rejected(
+      "DESIGN x ;\nPINS 2 ;\n- a + NET n + DIRECTION INPUT ;\n"
+      "- a + NET m + DIRECTION INPUT ;\nEND PINS\nEND DESIGN",
+      "'pin:a'");
+  // A COMPONENT named like the gate a PIN becomes.
+  expect_rejected(
+      "DESIGN x ;\nCOMPONENTS 1 ;\n- pin:a DFFT ;\nEND COMPONENTS\n"
+      "PINS 1 ;\n- a + NET n + DIRECTION INPUT ;\nEND PINS\nEND DESIGN",
+      "'pin:a'");
 }
 
 }  // namespace

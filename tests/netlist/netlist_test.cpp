@@ -1,6 +1,9 @@
 #include "netlist/netlist.h"
 
 #include <algorithm>
+#include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +155,84 @@ TEST(Netlist, ClockEdgesDoNotConstrainTopologicalOrder) {
   EXPECT_EQ(netlist.clock_net(d), netlist.input_net(d, 0));
   EXPECT_EQ(netlist.topological_order().size(), 2u);
   EXPECT_EQ(netlist.fanout(src), 2);
+}
+
+// unique_edges() is memoized; every mutator must drop the memo, so the
+// edges read after a mutation are the mutated netlist's.
+TEST(Netlist, EveryMutationRebuildsTheEdges) {
+  Fixture f;
+  EXPECT_EQ(f.netlist.unique_edges(), reference_unique_edges(f.netlist));
+
+  const GateId m = f.netlist.add_gate_of_kind("m", CellKind::kMerge);
+  EXPECT_EQ(f.netlist.unique_edges(), reference_unique_edges(f.netlist));
+
+  f.netlist.connect(f.d1, 0, m, 0);  // new edge d1-m
+  EXPECT_EQ(f.netlist.unique_edges().size(), 3u);
+  EXPECT_EQ(f.netlist.unique_edges(), reference_unique_edges(f.netlist));
+
+  const GateId c = f.netlist.add_gate_of_kind("c", CellKind::kSplit);
+  EXPECT_EQ(f.netlist.unique_edges(), reference_unique_edges(f.netlist));
+  f.netlist.connect_clock(c, 0, f.d1);  // new edge d1-c
+  EXPECT_EQ(f.netlist.unique_edges().size(), 4u);
+  EXPECT_EQ(f.netlist.unique_edges(), reference_unique_edges(f.netlist));
+}
+
+static_assert(std::is_copy_constructible_v<Netlist> &&
+              std::is_copy_assignable_v<Netlist> &&
+              std::is_move_constructible_v<Netlist> &&
+              std::is_move_assignable_v<Netlist>);
+
+TEST(Netlist, CopiesAndMovesKeepTheirOwnEdges) {
+  ScaledParams chip;
+  chip.num_gates = 2000;
+  const Netlist original = build_scaled(chip);
+  const std::vector<Connection> expected = reference_unique_edges(original);
+  const std::vector<Connection>* memo = &original.unique_edges();
+  ASSERT_EQ(*memo, expected);
+
+  Netlist copy = original;  // copied after the build
+  EXPECT_EQ(copy.unique_edges(), expected);
+  Netlist assigned(&default_sfq_library(), "assigned");
+  assigned = copy;
+  EXPECT_EQ(assigned.unique_edges(), expected);
+  Netlist moved = std::move(copy);
+  EXPECT_EQ(moved.unique_edges(), expected);
+  Netlist move_assigned(&default_sfq_library(), "move_assigned");
+  EXPECT_TRUE(move_assigned.unique_edges().empty());
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.unique_edges(), expected);
+  const Netlist fresh = build_scaled(chip);  // edges not built yet
+  EXPECT_EQ(Netlist(fresh).unique_edges(), expected);
+
+  // Mutating a copy rebuilds only the copy's edges.
+  const GateId a = move_assigned.add_gate_of_kind("extra_a", CellKind::kJtl);
+  const GateId b = move_assigned.add_gate_of_kind("extra_b", CellKind::kJtl);
+  move_assigned.connect(a, 0, b, 0);
+  EXPECT_EQ(move_assigned.unique_edges(),
+            reference_unique_edges(move_assigned));
+  EXPECT_EQ(move_assigned.unique_edges().size(), expected.size() + 1);
+  EXPECT_EQ(&original.unique_edges(), memo);
+  EXPECT_EQ(original.unique_edges(), expected);
+}
+
+// Concurrent const readers build the memo once and all read one vector.
+TEST(Netlist, ConcurrentReadersShareOneEdgeBuild) {
+  ScaledParams chip;
+  chip.num_gates = 20000;
+  const Netlist netlist = build_scaled(chip);
+  constexpr int kReaders = 8;
+  std::vector<const std::vector<Connection>*> seen(kReaders, nullptr);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&netlist, &seen, t] {
+      seen[static_cast<std::size_t>(t)] = &netlist.unique_edges();
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (const std::vector<Connection>* edges : seen) {
+    EXPECT_EQ(edges, seen[0]);
+  }
+  EXPECT_EQ(*seen[0], reference_unique_edges(netlist));
 }
 
 TEST(Netlist, AddGateOfKindUsesLibrary) {

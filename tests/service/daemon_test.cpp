@@ -223,6 +223,28 @@ TEST(Daemon, FileAndInlineNetlistsShareCacheByContent) {
   std::remove(path.c_str());
 }
 
+// A port declared twice would name two gates "pin:a": the job is an
+// error naming the port, never a partition of the ambiguous netlist.
+TEST(Daemon, InlineVerilogWithADuplicatePortIsAnError) {
+  DaemonOptions options;
+  options.workers = 1;
+  Daemon daemon(options);
+  Json job = Json::object();
+  job.set("schema", Json::string(kJobSchema));
+  job.set("id", Json::string("dup-port"));
+  job.set("netlist_verilog",
+          Json::string("module dup (a, y); input a; input a; output y; "
+                       "JTL g1 (.A(a), .Q(w)); JTL g2 (.A(w), .Q(y)); "
+                       "endmodule"));
+  job.set("options", Json::parse(R"({"restarts": 1})").value());
+  const Json response = parse_response(daemon.submit_and_wait(job.dump(0)));
+  EXPECT_NE(field(response, "status"), "ok");
+  EXPECT_NE(field(response, "error").find("duplicate port 'a'"),
+            std::string::npos)
+      << field(response, "error");
+  EXPECT_EQ(daemon.engine_runs(), 0);
+}
+
 TEST(Daemon, ServeSpeaksJsonLinesAndHonorsShutdown) {
   std::stringstream in;
   in << job_line("s1") << "\n";

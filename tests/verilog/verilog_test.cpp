@@ -100,6 +100,25 @@ TEST(VerilogToNetlist, ErrorsAreStatuses) {
   }
 }
 
+// Ports become gates named "pin:<port>": a port declared twice would
+// name two gates alike, so it is an error naming the port.
+TEST(VerilogToNetlist, RejectsDuplicatePorts) {
+  for (const char* text :
+       {"module m (a, y);\n  input a;\n  input a;\n  output y;\n"
+        "  JTL g (.A(a), .Q(y));\nendmodule\n",
+        "module m (a);\n  input a, a;\n  output y;\n"
+        "  JTL g (.A(a), .Q(y));\nendmodule\n",
+        "module m (a);\n  input a;\n  output a;\nendmodule\n"}) {
+    auto module = parse_verilog(text);
+    ASSERT_TRUE(module.is_ok()) << module.status().message();
+    const auto netlist = verilog_to_netlist(*module, default_sfq_library());
+    ASSERT_FALSE(netlist.is_ok()) << text;
+    EXPECT_NE(netlist.status().message().find("duplicate port 'a'"),
+              std::string::npos)
+        << netlist.status().message();
+  }
+}
+
 class VerilogRoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(VerilogRoundTrip, PreservesStructureAndFunction) {
