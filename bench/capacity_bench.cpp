@@ -2,7 +2,8 @@
 // netlists (gen/scaled.h) at 10^5..10^6+ gates and records throughput
 // (gates/sec), the stage breakdown of the solve's wall time (problem
 // build, coarsen, coarse solve, uncoarsen and the remainder), per-level
-// wall time, and peak RSS into results/BENCH_capacity.json.
+// wall time, the netlist's heap bytes by part, and peak RSS into
+// results/BENCH_capacity.json.
 //
 // Unlike the paper-table benches this is a plain main(): a million-gate
 // run is far too slow to repeat under the google-benchmark harness, and
@@ -160,12 +161,15 @@ int run(int argc, char** argv) {
       const double gates_per_sec =
           solve_ms > 0.0 ? partitionable / (solve_ms / 1000.0) : 0.0;
       const double rss_mb = peak_rss_mb();
+      const NetlistBytes bytes = netlist.storage_bytes();
       std::printf(
           "%-14s %-8s G=%-9d levels=%-3d gen=%8.1f ms  solve=%9.1f ms  "
-          "%10.0f gates/s  cost=%.6f  peak_rss=%.0f MB  names=%.1f MB\n",
+          "%10.0f gates/s  cost=%.6f  peak_rss=%.0f MB  netlist=%.1f MB "
+          "(%.0f B/gate)\n",
           params.name.c_str(), flavor.name, partitionable, result.levels,
           gen_ms, solve_ms, gates_per_sec, result.discrete_total, rss_mb,
-          static_cast<double>(netlist.name_table_bytes()) / (1024.0 * 1024.0));
+          static_cast<double>(bytes.total()) / (1024.0 * 1024.0),
+          static_cast<double>(bytes.total()) / netlist.num_gates());
 
       assert_valid(netlist, result.partition, num_planes);
       if (smoke && solve_ms / 1000.0 >
@@ -254,6 +258,21 @@ int run(int argc, char** argv) {
                Json::number(static_cast<long long>(
                    static_cast<std::size_t>(netlist.num_gates()) *
                    64)))
+          // The netlist's heap bytes by part, after the solve (so the
+          // unique_edges() memo is built): DESIGN.md section 15.6.
+          .set("netlist_bytes",
+               Json::object()
+                   .set("gates", Json::number(static_cast<long long>(bytes.gates)))
+                   .set("nets", Json::number(static_cast<long long>(bytes.nets)))
+                   .set("sinks", Json::number(static_cast<long long>(bytes.sinks)))
+                   .set("pin_maps",
+                        Json::number(static_cast<long long>(bytes.pin_maps)))
+                   .set("names", Json::number(static_cast<long long>(bytes.names)))
+                   .set("edges", Json::number(static_cast<long long>(bytes.edges)))
+                   .set("total", Json::number(static_cast<long long>(bytes.total())))
+                   .set("per_gate",
+                        Json::number(static_cast<double>(bytes.total()) /
+                                     netlist.num_gates())))
           .set("stages", std::move(stages))
           .set("report", std::move(doc));
       if (size == kBefore1MTarget &&

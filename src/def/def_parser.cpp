@@ -269,8 +269,9 @@ StatusOr<Netlist> def_to_netlist(const DefDesign& design, const CellLibrary& lib
     struct Endpoint {
       GateId gate;
       ResolvedPin pin;
+      const DefNetConn* conn;
     };
-    Endpoint driver{kInvalidGate, {}};
+    Endpoint driver{kInvalidGate, {}, nullptr};
     std::vector<Endpoint> sinks;
     for (const DefNetConn& conn : net.connections) {
       GateId gate;
@@ -299,15 +300,30 @@ StatusOr<Netlist> def_to_netlist(const DefDesign& design, const CellLibrary& lib
         if (driver.gate != kInvalidGate) {
           return Status::error("net '" + net.name + "': multiple drivers");
         }
-        driver = Endpoint{gate, resolved};
+        driver = Endpoint{gate, resolved, &conn};
       } else {
-        sinks.push_back(Endpoint{gate, resolved});
+        sinks.push_back(Endpoint{gate, resolved, &conn});
       }
     }
     if (driver.gate == kInvalidGate) {
       return Status::error("net '" + net.name + "': no driver");
     }
     for (const Endpoint& sink : sinks) {
+      // An input or clock pin takes one net: a second (or the same pin
+      // listed twice in one net) would overwrite the pin's net while
+      // the first net kept the sink.
+      const NetId taken = sink.pin.is_clock
+                              ? netlist.clock_net(sink.gate)
+                              : netlist.input_net(sink.gate, sink.pin.index);
+      if (taken != kInvalidNet) {
+        const DefNetConn& conn = *sink.conn;
+        return Status::error(
+            "net '" + net.name + "': " +
+            (conn.is_top_pin() ? "pin '" + conn.pin + "'"
+                               : "component '" + conn.component + "' pin '" +
+                                     conn.pin + "'") +
+            ": input pin connected twice");
+      }
       if (sink.pin.is_clock) {
         netlist.connect_clock(driver.gate, driver.pin.index, sink.gate);
       } else {

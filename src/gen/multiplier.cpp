@@ -68,9 +68,11 @@ Netlist build_multiplier(int width) {
   }
 
   // Final carry-propagate addition of the two remaining rows with a
-  // Kogge-Stone prefix adder. The carry out of bit 2W-1 is arithmetically
-  // zero (the product fits 2W bits); any structurally dangling prefix
-  // terms are pruned below.
+  // Kogge-Stone prefix adder. Column 2W collects the reduction's carries
+  // out of bit 2W-1 (the 8- and 12-bit trees produce some). The product
+  // fits 2W bits, so each is arithmetically zero, though not folded to a
+  // constant: the adder drops them, and prune_unused removes their
+  // logic along with any structurally dangling prefix terms.
   std::vector<CSig> row_x(num_cols, CSig::zero());
   std::vector<CSig> row_y(num_cols, CSig::zero());
   for (std::size_t c = 0; c < num_cols; ++c) {
@@ -78,7 +80,9 @@ Netlist build_multiplier(int width) {
     if (col[c].size() > 1) row_y[c] = col[c][1];
     assert(col[c].size() <= 2);
   }
-  assert(col[num_cols].empty() && "carry out of the top product column");
+  assert(std::none_of(col[num_cols].begin(), col[num_cols].end(),
+                      [](const CSig& carry) { return carry.konst == 1; }) &&
+         "constant-one carry out of the top product column");
   const std::vector<CSig> sum = ks_prefix_add(ops, row_x, row_y, CSig::zero());
 
   for (std::size_t c = 0; c < num_cols; ++c) {

@@ -2,12 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+#include <type_traits>
 
 namespace sfqpart {
 namespace {
 
 bool is_io_kind(CellKind kind) {
   return kind == CellKind::kInput || kind == CellKind::kOutput;
+}
+
+// Gate `id`'s slots in a flat pin map: map[first[id], first[id + 1]),
+// the last gate's running to the map's end. Throws std::out_of_range on
+// an id that names no gate.
+std::span<const NetId> pin_slots(const std::vector<NetId>& map,
+                                 const std::vector<std::uint32_t>& first,
+                                 GateId id) {
+  const std::size_t g = static_cast<std::size_t>(id);
+  const std::size_t begin = first.at(g);
+  const std::size_t end = g + 1 < first.size() ? first[g + 1] : map.size();
+  return {map.data() + begin, end - begin};
 }
 
 }  // namespace
@@ -33,8 +47,12 @@ GateId Netlist::add_gate(std::string_view name, int cell_index) {
   gate_name_index_.insert(interned.view(), id, name_of);
   const Cell& cell = library_->cell(cell_index);
   io_gate_.push_back(is_io_kind(cell.kind) ? 1 : 0);
-  input_nets_.emplace_back(static_cast<std::size_t>(cell.num_inputs), kInvalidNet);
-  output_nets_.emplace_back(static_cast<std::size_t>(cell.num_outputs), kInvalidNet);
+  input_first_.push_back(static_cast<std::uint32_t>(input_nets_.size()));
+  input_nets_.insert(input_nets_.end(), static_cast<std::size_t>(cell.num_inputs),
+                     kInvalidNet);
+  output_first_.push_back(static_cast<std::uint32_t>(output_nets_.size()));
+  output_nets_.insert(output_nets_.end(),
+                      static_cast<std::size_t>(cell.num_outputs), kInvalidNet);
   clock_nets_.push_back(kInvalidNet);
   return id;
 }
@@ -45,14 +63,15 @@ GateId Netlist::add_gate_of_kind(std::string_view name, CellKind kind) {
   return add_gate(name, *cell);
 }
 
-NetId Netlist::net_for_output(GateId from, int out_pin, std::string_view fallback_name) {
-  auto& outputs = output_nets_.at(static_cast<std::size_t>(from));
-  assert(out_pin >= 0 && out_pin < static_cast<int>(outputs.size()));
-  NetId& slot = outputs[static_cast<std::size_t>(out_pin)];
+NetId Netlist::net_for_output(GateId from, int out_pin) {
+  assert(out_pin >= 0 &&
+         out_pin < static_cast<int>(pin_slots(output_nets_, output_first_, from).size()));
+  NetId& slot = output_nets_[output_first_.at(static_cast<std::size_t>(from)) +
+                             static_cast<std::size_t>(out_pin)];
   if (slot == kInvalidNet) {
     slot = static_cast<NetId>(nets_.size());
     Net net;
-    net.name = arena_->intern(fallback_name);
+    net.name = arena_->intern(gate(from).name + "_o" + std::to_string(out_pin));
     net.driver = PinRef{from, out_pin};
     nets_.push_back(std::move(net));
   }
@@ -60,17 +79,14 @@ NetId Netlist::net_for_output(GateId from, int out_pin, std::string_view fallbac
 }
 
 NetId Netlist::connect(GateId from, int out_pin, GateId to, int in_pin) {
-  const Cell& sink_cell = cell_of(to);
-  assert(in_pin >= 0 && in_pin < sink_cell.num_inputs);
-  (void)sink_cell;
-  auto& inputs = input_nets_.at(static_cast<std::size_t>(to));
-  assert(inputs[static_cast<std::size_t>(in_pin)] == kInvalidNet &&
-         "input pin already connected");
+  assert(in_pin >= 0 && in_pin < cell_of(to).num_inputs);
+  NetId& input = input_nets_[input_first_.at(static_cast<std::size_t>(to)) +
+                             static_cast<std::size_t>(in_pin)];
+  assert(input == kInvalidNet && "input pin already connected");
   edge_memo_.reset();
-  const NetId net_id =
-      net_for_output(from, out_pin, gate(from).name + "_o" + std::to_string(out_pin));
+  const NetId net_id = net_for_output(from, out_pin);
   nets_[static_cast<std::size_t>(net_id)].sinks.push_back(PinRef{to, in_pin});
-  inputs[static_cast<std::size_t>(in_pin)] = net_id;
+  input = net_id;
   return net_id;
 }
 
@@ -79,8 +95,7 @@ NetId Netlist::connect_clock(GateId from, int out_pin, GateId to) {
   assert(clock_nets_.at(static_cast<std::size_t>(to)) == kInvalidNet &&
          "clock pin already connected");
   edge_memo_.reset();
-  const NetId net_id =
-      net_for_output(from, out_pin, gate(from).name + "_o" + std::to_string(out_pin));
+  const NetId net_id = net_for_output(from, out_pin);
   nets_[static_cast<std::size_t>(net_id)].sinks.push_back(PinRef{to, kClockPin});
   clock_nets_[static_cast<std::size_t>(to)] = net_id;
   return net_id;
@@ -98,13 +113,13 @@ int Netlist::num_partitionable_gates() const {
 }
 
 NetId Netlist::output_net(GateId id, int out_pin) const {
-  const auto& outputs = output_nets_.at(static_cast<std::size_t>(id));
+  const auto outputs = pin_slots(output_nets_, output_first_, id);
   assert(out_pin >= 0 && out_pin < static_cast<int>(outputs.size()));
   return outputs[static_cast<std::size_t>(out_pin)];
 }
 
 NetId Netlist::input_net(GateId id, int in_pin) const {
-  const auto& inputs = input_nets_.at(static_cast<std::size_t>(id));
+  const auto inputs = pin_slots(input_nets_, input_first_, id);
   assert(in_pin >= 0 && in_pin < static_cast<int>(inputs.size()));
   return inputs[static_cast<std::size_t>(in_pin)];
 }
@@ -115,7 +130,7 @@ NetId Netlist::clock_net(GateId id) const {
 
 int Netlist::fanout(GateId id) const {
   int count = 0;
-  for (const NetId net_id : output_nets_.at(static_cast<std::size_t>(id))) {
+  for (const NetId net_id : pin_slots(output_nets_, output_first_, id)) {
     if (net_id != kInvalidNet) {
       count += static_cast<int>(net(net_id).sinks.size());
     }
@@ -186,6 +201,21 @@ std::vector<Connection> Netlist::build_unique_edges() const {
   return edges;
 }
 
+NetlistBytes Netlist::storage_bytes() const {
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  NetlistBytes out;
+  out.gates = bytes(gates_) + bytes(io_gate_);
+  out.nets = bytes(nets_);
+  for (const Net& n : nets_) out.sinks += n.sinks.heap_bytes();
+  out.pin_maps = bytes(input_nets_) + bytes(input_first_) + bytes(output_nets_) +
+                 bytes(output_first_) + bytes(clock_nets_);
+  out.names = name_table_bytes();
+  out.edges = edge_memo_.bytes();
+  return out;
+}
+
 double Netlist::total_bias_ma() const {
   double total = 0.0;
   for (GateId g = 0; g < num_gates(); ++g) {
@@ -224,8 +254,7 @@ std::vector<GateId> Netlist::topological_order() const {
     const GateId g = ready.back();
     ready.pop_back();
     order.push_back(g);
-    const auto& outputs = output_nets_[static_cast<std::size_t>(g)];
-    for (const NetId net_id : outputs) {
+    for (const NetId net_id : pin_slots(output_nets_, output_first_, g)) {
       if (net_id == kInvalidNet) continue;
       for (const PinRef& sink : net(net_id).sinks) {
         if (sink.pin == kClockPin) continue;

@@ -7,6 +7,8 @@
 // from the connection set E handed to the partitioner.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -47,10 +49,116 @@ struct Gate {
   int cell = -1;  // index into the netlist's CellLibrary
 };
 
+// The sinks of one net, in connection order. SFQ gates drive one sink
+// each (splitters make every fanout a gate of its own), so one sink is
+// held in place and only larger fanout spills to one heap array: a
+// fanout-1 net owns no heap block. Contiguous, so range-for, `[]` and
+// std::span<const PinRef> read it like the vector it replaces. Copies
+// are deep.
+class SinkList {
+ public:
+  SinkList() = default;
+  SinkList(const SinkList& other) { copy_from(other); }
+  SinkList(SinkList&& other) noexcept { take_from(other); }
+  SinkList& operator=(const SinkList& other) {
+    if (this != &other) {
+      clear();
+      copy_from(other);
+    }
+    return *this;
+  }
+  SinkList& operator=(SinkList&& other) noexcept {
+    if (this != &other) {
+      clear();
+      take_from(other);
+    }
+    return *this;
+  }
+  ~SinkList() { clear(); }
+
+  const PinRef* data() const { return spilled() ? heap_ : &one_; }
+  const PinRef* begin() const { return data(); }
+  const PinRef* end() const { return data() + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const PinRef& operator[](std::size_t i) const { return data()[i]; }
+  const PinRef& front() const { return data()[0]; }
+
+  void push_back(PinRef sink) {
+    if (size_ == capacity_) {
+      // In place (capacity 1), then 2, 4, 8, ... slots on the heap.
+      const std::uint32_t grown_capacity = 2 * capacity_;
+      auto* grown = new PinRef[grown_capacity];
+      std::copy(begin(), end(), grown);
+      if (spilled()) delete[] heap_;
+      heap_ = grown;
+      capacity_ = grown_capacity;
+    }
+    (spilled() ? heap_ : &one_)[size_++] = sink;
+  }
+
+  // Heap bytes of the spilled array; 0 while the sinks fit in place.
+  std::size_t heap_bytes() const {
+    return spilled() ? capacity_ * sizeof(PinRef) : 0;
+  }
+
+ private:
+  bool spilled() const { return capacity_ > 1; }
+  // Frees a spilled array and leaves the list empty and in place.
+  void clear() {
+    if (spilled()) delete[] heap_;
+    size_ = 0;
+    capacity_ = 1;
+  }
+  // Both expect *this empty and in place. A copy spills only when it
+  // holds more than one sink, and then to exactly its size.
+  void copy_from(const SinkList& other) {
+    if (other.size_ > 1) {
+      heap_ = new PinRef[other.size_];
+      std::copy(other.begin(), other.end(), heap_);
+      capacity_ = other.size_;
+    } else if (other.size_ == 1) {
+      one_ = other.front();
+    }
+    size_ = other.size_;
+  }
+  void take_from(SinkList& other) {
+    if (other.spilled()) {
+      heap_ = other.heap_;
+    } else {
+      one_ = other.one_;
+    }
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 1);
+  }
+
+  union {
+    PinRef one_{};  // capacity_ == 1: the sink, held in place
+    PinRef* heap_;  // capacity_ > 1: capacity_ slots on the heap
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = 1;
+};
+
 struct Net {
   NameRef name;
   PinRef driver;               // invalid gate id when undriven (parse error)
-  std::vector<PinRef> sinks;
+  SinkList sinks;
+};
+
+// Heap bytes a Netlist holds, by part (capacity accounting: what its
+// containers reserved, without the allocator's per-block overhead).
+struct NetlistBytes {
+  std::size_t gates = 0;     // gate records and the per-gate I/O bytes
+  std::size_t nets = 0;      // net records, each with one sink in place
+  std::size_t sinks = 0;     // spilled sink arrays of nets with fanout > 1
+  std::size_t pin_maps = 0;  // flat pin-to-net maps and their offsets
+  std::size_t names = 0;     // name_table_bytes()
+  std::size_t edges = 0;     // the unique_edges() memo, once built
+
+  std::size_t total() const {
+    return gates + nets + sinks + pin_maps + names + edges;
+  }
 };
 
 // A directed gate-to-gate connection (one per net sink).
@@ -161,6 +269,8 @@ class Netlist {
   // the old unordered_map<string_view, GateId>; capacity bench reports
   // the before/after delta).
   std::size_t name_index_bytes() const { return gate_name_index_.bytes(); }
+  // The whole netlist's heap bytes by part (capacity bench reporting).
+  NetlistBytes storage_bytes() const;
 
  private:
   // The memo behind unique_edges(). Const callers build and read it
@@ -188,6 +298,10 @@ class Netlist {
       return *edges_;
     }
     void reset() { edges_.reset(); }
+    std::size_t bytes() const {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      return edges_ ? edges_->capacity() * sizeof(Connection) : 0;
+    }
 
    private:
     std::optional<std::vector<Connection>> snapshot() const {
@@ -199,7 +313,7 @@ class Netlist {
     mutable std::optional<std::vector<Connection>> edges_;  // under mutex_
   };
 
-  NetId net_for_output(GateId from, int out_pin, std::string_view fallback_name);
+  NetId net_for_output(GateId from, int out_pin);
   std::vector<Connection> build_unique_edges() const;
 
   std::string name_;
@@ -214,10 +328,15 @@ class Netlist {
   // all — probes resolve ids back to their interned names via gates_, so
   // the index costs ~8 bytes per gate instead of an unordered_map node.
   NameIndex gate_name_index_;
-  // Per-gate pin-to-net maps, parallel to gates_.
-  std::vector<std::vector<NetId>> input_nets_;   // size = cell.num_inputs
-  std::vector<std::vector<NetId>> output_nets_;  // size = cell.num_outputs
-  std::vector<NetId> clock_nets_;                // kInvalidNet when none
+  // Flat pin-to-net maps, kInvalidNet where unconnected: gate g's
+  // data-input pins are input_nets_[input_first_[g] + pin], cell.num_inputs
+  // slots that add_gate appends, and its output pins likewise. No gate
+  // owns a heap block of its own.
+  std::vector<NetId> input_nets_;
+  std::vector<std::uint32_t> input_first_;  // parallel to gates_
+  std::vector<NetId> output_nets_;
+  std::vector<std::uint32_t> output_first_;  // parallel to gates_
+  std::vector<NetId> clock_nets_;            // parallel to gates_
   EdgeMemo edge_memo_;
 };
 

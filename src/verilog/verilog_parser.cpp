@@ -3,7 +3,6 @@
 #include <cctype>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -216,15 +215,15 @@ StatusOr<Netlist> verilog_to_netlist(const VerilogModule& module,
     }
   }
 
-  std::set<std::pair<GateId, int>> used_pins;  // pin -1 marks the clock
   for (const auto& [net, sinks] : sinks_of) {
     const auto driver = driver_of.find(net);
     if (driver == driver_of.end()) {
       return Status::error("net '" + net + "': no driver");
     }
     for (const Endpoint& sink : sinks) {
-      const int pin_key = sink.is_clock ? -1 : sink.pin;
-      if (!used_pins.emplace(sink.gate, pin_key).second) {
+      const NetId taken = sink.is_clock ? netlist.clock_net(sink.gate)
+                                        : netlist.input_net(sink.gate, sink.pin);
+      if (taken != kInvalidNet) {
         return Status::error("gate '" + netlist.gate(sink.gate).name +
                              "': input pin connected twice");
       }

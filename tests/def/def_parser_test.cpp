@@ -178,5 +178,39 @@ TEST(DefToNetlist, RejectsDuplicateGateNames) {
       "'pin:a'");
 }
 
+// An input or clock pin takes one net: a second would overwrite the
+// pin's net while the first net kept the sink.
+TEST(DefToNetlist, RejectsAnInputPinConnectedTwice) {
+  const std::string components =
+      "DESIGN x ;\nCOMPONENTS 4 ;\n- g1 DFFT ;\n- g2 DFFT ;\n- g3 DFFT ;\n"
+      "- src DCSFQ ;\nEND COMPONENTS\n";
+  const auto message = [&](const std::string& pins, const std::string& nets) {
+    auto design = parse_def(components + pins + "NETS 2 ;\n" + nets +
+                            "END NETS\nEND DESIGN");
+    EXPECT_TRUE(design.is_ok()) << design.status().message();
+    if (!design.is_ok()) return std::string();
+    const auto netlist = def_to_netlist(*design, sfqpart::default_sfq_library());
+    return netlist.is_ok() ? std::string() : netlist.status().message();
+  };
+  // Two nets feed g3's data pin A: the error names the second net, the
+  // component and the pin.
+  EXPECT_EQ(message("", "- n1 ( g1 Q ) ( g3 A ) ;\n- n2 ( g2 Q ) ( g3 A ) ;\n"),
+            "net 'n2': component 'g3' pin 'A': input pin connected twice");
+  // Two nets feed g3's clock pin.
+  EXPECT_EQ(
+      message("", "- n1 ( g1 Q ) ( g3 CLK ) ;\n- n2 ( src Q ) ( g3 CLK ) ;\n"),
+      "net 'n2': component 'g3' pin 'CLK': input pin connected twice");
+  // One net lists the same pin twice.
+  EXPECT_EQ(message("", "- n1 ( g1 Q ) ( g3 A ) ( g3 A ) ;\n"),
+            "net 'n1': component 'g3' pin 'A': input pin connected twice");
+  // Two nets feed one OUTPUT chip pin.
+  EXPECT_EQ(message("PINS 1 ;\n- y + NET n1 + DIRECTION OUTPUT ;\nEND PINS\n",
+                    "- n1 ( g1 Q ) ( PIN y ) ;\n- n2 ( g2 Q ) ( PIN y ) ;\n"),
+            "net 'n2': pin 'y': input pin connected twice");
+  // Distinct pins of one gate are fine: g3's data pin and its clock.
+  EXPECT_EQ(message("", "- n1 ( g1 Q ) ( g3 A ) ;\n- n2 ( src Q ) ( g3 CLK ) ;\n"),
+            "");
+}
+
 }  // namespace
 }  // namespace sfqpart::def

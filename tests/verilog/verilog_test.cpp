@@ -119,6 +119,27 @@ TEST(VerilogToNetlist, RejectsDuplicatePorts) {
   }
 }
 
+// An instance that names one input or clock pin twice is an error
+// naming the gate; distinct pins of one gate are not.
+TEST(VerilogToNetlist, RejectsAnInputPinConnectedTwice) {
+  const auto message = [](const char* text) {
+    auto module = parse_verilog(text);
+    EXPECT_TRUE(module.is_ok()) << module.status().message();
+    if (!module.is_ok()) return std::string();
+    const auto netlist = verilog_to_netlist(*module, default_sfq_library());
+    return netlist.is_ok() ? std::string() : netlist.status().message();
+  };
+  EXPECT_EQ(message("module m (a, b, y);\n  input a, b;\n  output y;\n"
+                    "  DFFT g (.A(a), .A(b), .Q(y));\nendmodule\n"),
+            "gate 'g': input pin connected twice");
+  EXPECT_EQ(message("module m (a, b, c, y);\n  input a, b, c;\n  output y;\n"
+                    "  DFFT g (.A(a), .CLK(b), .CLK(c), .Q(y));\nendmodule\n"),
+            "gate 'g': input pin connected twice");
+  EXPECT_EQ(message("module m (a, b, y);\n  input a, b;\n  output y;\n"
+                    "  DFFT g (.A(a), .CLK(b), .Q(y));\nendmodule\n"),
+            "");
+}
+
 class VerilogRoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(VerilogRoundTrip, PreservesStructureAndFunction) {
