@@ -2,8 +2,9 @@
 // netlists (gen/scaled.h) at 10^5..10^6+ gates and records throughput
 // (gates/sec), the stage breakdown of the solve's wall time (problem
 // build, coarsen, coarse solve, uncoarsen and the remainder), per-level
-// wall time, the netlist's heap bytes by part, and peak RSS into
-// results/BENCH_capacity.json.
+// wall time, one certification of the result (`certify_ms`, outside the
+// solve's wall time), the netlist's heap bytes by part, and peak RSS
+// into results/BENCH_capacity.json.
 //
 // Unlike the paper-table benches this is a plain main(): a million-gate
 // run is far too slow to repeat under the google-benchmark harness, and
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/certify.h"
 #include "core/problem_view.h"
 #include "core/vcycle.h"
 #include "obs/run_report.h"
@@ -45,27 +47,6 @@ constexpr double kBefore1MSolveMs = 6786.29;
 constexpr double kBefore1MCoarseSolveMs = 3799.62;
 constexpr long long kBefore1MCoarseGates = 27756;
 constexpr long long kBefore1MCoarseEdges = 345044;
-
-// Fails the bench (exit 1) unless the partition is valid: every
-// partitionable gate on a plane in [0, K), every interface gate left on
-// the shared ground plane.
-void assert_valid(const Netlist& netlist, const Partition& partition,
-                  int num_planes) {
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    const int plane = partition.plane(g);
-    const bool partitionable = netlist.is_partitionable(g);
-    const bool ok = partitionable ? plane >= 0 && plane < num_planes
-                                  : plane == kUnassignedPlane;
-    if (!ok) {
-      std::fprintf(stderr,
-                   "capacity_bench: gate %d (%s) has plane %d "
-                   "(partitionable=%d, K=%d)\n",
-                   g, netlist.gate(g).name.c_str(), plane, partitionable,
-                   num_planes);
-      std::exit(1);
-    }
-  }
-}
 
 int run(int argc, char** argv) {
   OptionsParser parser(
@@ -171,7 +152,25 @@ int run(int argc, char** argv) {
           static_cast<double>(bytes.total()) / (1024.0 * 1024.0),
           static_cast<double>(bytes.total()) / netlist.num_gates());
 
-      assert_valid(netlist, result.partition, num_planes);
+      // One certification of the result (core/certify.h), timed apart
+      // from the solve: the independent re-derivation every served
+      // result pays. It also fails the bench (exit 1) unless the
+      // partition is valid: every partitionable gate on a plane in
+      // [0, K), every interface gate left on the shared ground plane.
+      const auto certify_start = Clock::now();
+      const CertifyReport cert = certify_partition(
+          netlist, result.partition, num_planes, options.coarse.weights);
+      const double certify_ms =
+          std::chrono::duration<double, std::milli>(Clock::now() -
+                                                    certify_start)
+              .count();
+      if (!cert.valid()) {
+        std::fprintf(stderr, "capacity_bench: certification failed (%s): %s\n",
+                     certify_verdict_name(cert.verdict), cert.message.c_str());
+        return 1;
+      }
+      std::printf("%-14s %-8s certify=%.1f ms\n", params.name.c_str(),
+                  flavor.name, certify_ms);
       if (smoke && solve_ms / 1000.0 >
                        static_cast<double>(parser.get_int("smoke-budget-sec"))) {
         std::fprintf(stderr,
@@ -274,6 +273,7 @@ int run(int argc, char** argv) {
                         Json::number(static_cast<double>(bytes.total()) /
                                      netlist.num_gates())))
           .set("stages", std::move(stages))
+          .set("certify_ms", Json::number(certify_ms))
           .set("report", std::move(doc));
       if (size == kBefore1MTarget &&
           flavor.style == VcycleRefineStyle::kBanded) {

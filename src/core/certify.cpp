@@ -30,98 +30,116 @@ double dist_pow(double d, int p) {
   return result;
 }
 
-// Insert-only set of undirected edge keys (lo << 32 | hi, lo < hi):
-// open addressing with linear probing in a power-of-two table sized up
-// front for `max_keys` inserts at load <= 1/2, so it never rehashes. The
-// all-ones word (lo == hi) is never a key and marks an empty slot.
-class EdgeKeySet {
- public:
-  explicit EdgeKeySet(std::size_t max_keys) {
-    std::size_t capacity = std::size_t{1} << (64 - shift_);
-    while (capacity < 2 * max_keys) {
-      capacity <<= 1;
-      --shift_;
+// Keeps the first occurrence of every undirected pair (lo < hi) in
+// `pairs`, in order, and drops the repeats in place (DESIGN.md §13.1).
+// A stable counting sort lists the pair indices by lo; walked in that
+// order, a pair whose hi already carries the stamp of its own lo repeats
+// an earlier pair of its group. There is no table over the keys: what it
+// touches out of order is the pair list and two arrays of 4 B per gate.
+void keep_first_occurrences(std::vector<std::pair<int, int>>& pairs,
+                            int num_gates) {
+  const auto g = static_cast<std::size_t>(num_gates);
+  // next_slot[lo + 1] counts group lo; after the prefix sum next_slot[lo]
+  // is the slot of group lo's next pair.
+  std::vector<std::uint32_t> next_slot(g + 1, 0);
+  for (const auto& pair : pairs) {
+    ++next_slot[static_cast<std::size_t>(pair.first) + 1];
+  }
+  for (std::size_t lo = 1; lo <= g; ++lo) next_slot[lo] += next_slot[lo - 1];
+  std::vector<std::uint32_t> by_lo(pairs.size());
+  for (std::uint32_t i = 0; i < pairs.size(); ++i) {
+    by_lo[next_slot[static_cast<std::size_t>(pairs[i].first)]++] = i;
+  }
+
+  std::vector<int> stamp(g, -1);
+  std::size_t repeats = 0;
+  for (const std::uint32_t i : by_lo) {
+    std::pair<int, int>& pair = pairs[i];
+    int& last_lo = stamp[static_cast<std::size_t>(pair.second)];
+    if (last_lo == pair.first) {
+      pair.first = -1;  // a repeat: dropped below
+      ++repeats;
+    } else {
+      last_lo = pair.first;
     }
-    slots_.assign(capacity, kEmpty);
   }
-
-  // True when `key` was absent (and is now present).
-  bool insert(std::uint64_t key) {
-    const std::size_t mask = slots_.size() - 1;
-    // Fibonacci hashing: the top bits of key * 2^64/phi.
-    for (std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;;
-         i = (i + 1) & mask) {
-      if (slots_[i] == key) return false;
-      if (slots_[i] == kEmpty) {
-        slots_[i] = key;
-        return true;
-      }
-    }
+  if (repeats > 0) {
+    std::erase_if(pairs, [](const std::pair<int, int>& pair) {
+      return pair.first < 0;
+    });
   }
-
- private:
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  std::vector<std::uint64_t> slots_;
-  int shift_ = 60;  // 64 - log2(capacity)
-};
-
-}  // namespace
-
-const char* certify_verdict_name(CertifyVerdict verdict) {
-  switch (verdict) {
-    case CertifyVerdict::kValid: return "valid";
-    case CertifyVerdict::kLabelOutOfRange: return "label_out_of_range";
-    case CertifyVerdict::kPlaneCountMismatch: return "plane_count_mismatch";
-    case CertifyVerdict::kCostMismatch: return "cost_mismatch";
-    case CertifyVerdict::kConstraintViolation: return "constraint_violation";
-  }
-  return "unknown";
 }
 
-CertifiedInstance build_certified_instance(const Netlist& netlist,
-                                           int num_planes,
-                                           const CostWeights& weights) {
+// What certify_partition reads beside the instance, gathered on the
+// instance build's own walks: the compact labels and the coupling pairs.
+struct Labeling {
+  const int* plane_of = nullptr;  // GateId -> plane, range-checked
+  std::vector<int> labels;        // compact -> plane
+  long long coupling_pairs = 0;
+};
+
+// build_certified_instance's body: one walk over the gates, reading each
+// cell record once, and one over the nets (DESIGN.md §13.1). With
+// `labeling`, the gate walk also reads the compact labels and the net
+// walk sums the coupling pairs: one directed link per net sink between
+// assigned gates (clock edges, repeats and self-loops included), each
+// crossing |plane(sink) - plane(driver)| boundaries and needing that
+// many driver/receiver pairs.
+CertifiedInstance derive_instance(const Netlist& netlist, int num_planes,
+                                  const CostWeights& weights,
+                                  Labeling* labeling) {
   CertifiedInstance instance;
   instance.num_planes = num_planes;
-  instance.compact_of_gate.assign(
-      static_cast<std::size_t>(netlist.num_gates()), -1);
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    if (!netlist.is_partitionable(g)) continue;
-    instance.compact_of_gate[static_cast<std::size_t>(g)] =
-        static_cast<int>(instance.gate_ids.size());
+  const int num_gates = netlist.num_gates();
+  const auto num_compact =
+      static_cast<std::size_t>(netlist.num_partitionable_gates());
+  instance.compact_of_gate.resize(static_cast<std::size_t>(num_gates));
+  instance.gate_ids.reserve(num_compact);
+  instance.bias.reserve(num_compact);
+  instance.area.reserve(num_compact);
+  if (labeling != nullptr) labeling->labels.reserve(num_compact);
+  for (GateId g = 0; g < num_gates; ++g) {
+    int& compact = instance.compact_of_gate[static_cast<std::size_t>(g)];
+    if (netlist.is_io(g)) {
+      compact = -1;
+      continue;
+    }
+    const Cell& cell = netlist.cell_of(g);
+    compact = static_cast<int>(instance.gate_ids.size());
     instance.gate_ids.push_back(g);
-    instance.bias.push_back(netlist.bias_of(g));
-    instance.area.push_back(netlist.area_of(g));
-    instance.total_bias += netlist.bias_of(g);
-    instance.total_area += netlist.area_of(g);
+    instance.bias.push_back(cell.bias_ma);
+    instance.area.push_back(cell.area_um2);
+    instance.total_bias += cell.bias_ma;
+    instance.total_area += cell.area_um2;
+    if (labeling != nullptr) labeling->labels.push_back(labeling->plane_of[g]);
   }
 
-  // The undirected connection set E, re-derived net by net with hash-set
-  // deduplication (netlist.cpp sorts a vector; a shared dedup bug cannot
-  // survive two implementations). Edges keep first-occurrence order.
-  std::size_t num_sinks = 0;
-  for (NetId n = 0; n < netlist.num_nets(); ++n) {
-    num_sinks += netlist.net(n).sinks.size();
-  }
-  EdgeKeySet seen(num_sinks);
+  // The undirected connection set E, re-derived net by net: every
+  // partitionable, non-self (lo, hi) occurrence in net and sink order,
+  // then the repeats dropped (netlist.cpp buckets and sorts; a shared
+  // dedup bug cannot survive two implementations). Edges keep
+  // first-occurrence order, so the F1 sum of terms_of keeps its order.
+  // SFQ nets have one sink each, so the net count sizes the list.
+  const int* compact_of = instance.compact_of_gate.data();
+  const int* label = labeling != nullptr ? labeling->labels.data() : nullptr;
+  long long coupling_pairs = 0;
+  std::vector<std::pair<int, int>>& edges = instance.edges;
+  edges.reserve(static_cast<std::size_t>(netlist.num_nets()));
   for (NetId n = 0; n < netlist.num_nets(); ++n) {
     const Net& net = netlist.net(n);
     if (net.driver.gate == kInvalidGate) continue;
-    const int from =
-        instance.compact_of_gate[static_cast<std::size_t>(net.driver.gate)];
+    const int from = compact_of[net.driver.gate];
     if (from < 0) continue;
     for (const PinRef& sink : net.sinks) {
-      const int to =
-          instance.compact_of_gate[static_cast<std::size_t>(sink.gate)];
-      if (to < 0 || to == from) continue;
-      const int lo = std::min(from, to);
-      const int hi = std::max(from, to);
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) << 32) |
-          static_cast<std::uint32_t>(hi);
-      if (seen.insert(key)) instance.edges.emplace_back(lo, hi);
+      const int to = compact_of[sink.gate];
+      if (to < 0) continue;
+      if (label != nullptr) coupling_pairs += std::abs(label[to] - label[from]);
+      if (to == from) continue;
+      edges.emplace_back(std::min(from, to), std::max(from, to));
     }
   }
+  if (labeling != nullptr) labeling->coupling_pairs = coupling_pairs;
+  keep_first_occurrences(edges, instance.num_gates());
 
   const double k1 = static_cast<double>(num_planes - 1);
   const double mean_bias = instance.total_bias / num_planes;
@@ -141,36 +159,68 @@ CertifiedInstance build_certified_instance(const Netlist& netlist,
   return instance;
 }
 
-CostTerms CertifiedInstance::terms_of(const std::vector<int>& labels,
-                                      const CostWeights& weights) const {
+// terms_of's body. It also hands back the per-plane bias and area sums,
+// which I_comp and A_FS (equation 11) read.
+CostTerms derive_terms(const CertifiedInstance& instance,
+                       const std::vector<int>& labels,
+                       const CostWeights& weights,
+                       std::vector<double>& plane_bias,
+                       std::vector<double>& plane_area) {
   CostTerms terms;
-  for (const auto& [u, v] : edges) {
+  for (const auto& [u, v] : instance.edges) {
     terms.f1 += dist_pow(labels[static_cast<std::size_t>(u)] -
                              labels[static_cast<std::size_t>(v)],
                          weights.distance_exponent);
   }
-  terms.f1 /= n1;
+  terms.f1 /= instance.n1;
 
+  const int num_planes = instance.num_planes;
   const auto kd = static_cast<double>(num_planes);
-  std::vector<double> plane_bias(static_cast<std::size_t>(num_planes), 0.0);
-  std::vector<double> plane_area(static_cast<std::size_t>(num_planes), 0.0);
+  plane_bias.assign(static_cast<std::size_t>(num_planes), 0.0);
+  plane_area.assign(static_cast<std::size_t>(num_planes), 0.0);
   for (std::size_t i = 0; i < labels.size(); ++i) {
     const auto plane = static_cast<std::size_t>(labels[i]);
-    plane_bias[plane] += bias[i];
-    plane_area[plane] += area[i];
+    plane_bias[plane] += instance.bias[i];
+    plane_area[plane] += instance.area[i];
   }
-  const double mean_bias = total_bias / kd;
-  const double mean_area = total_area / kd;
+  const double mean_bias = instance.total_bias / kd;
+  const double mean_area = instance.total_area / kd;
   for (int k = 0; k < num_planes; ++k) {
     const double db = plane_bias[static_cast<std::size_t>(k)] - mean_bias;
     const double da = plane_area[static_cast<std::size_t>(k)] - mean_area;
     terms.f2 += db * db;
     terms.f3 += da * da;
   }
-  terms.f2 /= kd * n2;
-  terms.f3 /= kd * n3;
-  terms.f4 = f4_constant;
+  terms.f2 /= kd * instance.n2;
+  terms.f3 /= kd * instance.n3;
+  terms.f4 = instance.f4_constant;
   return terms;
+}
+
+}  // namespace
+
+const char* certify_verdict_name(CertifyVerdict verdict) {
+  switch (verdict) {
+    case CertifyVerdict::kValid: return "valid";
+    case CertifyVerdict::kLabelOutOfRange: return "label_out_of_range";
+    case CertifyVerdict::kPlaneCountMismatch: return "plane_count_mismatch";
+    case CertifyVerdict::kCostMismatch: return "cost_mismatch";
+    case CertifyVerdict::kConstraintViolation: return "constraint_violation";
+  }
+  return "unknown";
+}
+
+CertifiedInstance build_certified_instance(const Netlist& netlist,
+                                           int num_planes,
+                                           const CostWeights& weights) {
+  return derive_instance(netlist, num_planes, weights, nullptr);
+}
+
+CostTerms CertifiedInstance::terms_of(const std::vector<int>& labels,
+                                      const CostWeights& weights) const {
+  std::vector<double> plane_bias;
+  std::vector<double> plane_area;
+  return derive_terms(*this, labels, weights, plane_bias, plane_area);
 }
 
 CertifyReport certify_partition(const Netlist& netlist,
@@ -193,9 +243,11 @@ CertifyReport certify_partition(const Netlist& netlist,
   }
 
   // 2. Label range: partitionable gates in [0, K), I/O gates unassigned.
+  // plane_of covers every gate (checked above), so it is read directly.
+  const int* plane_of = partition.plane_of.data();
   for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    const int plane = partition.plane(g);
-    if (netlist.is_partitionable(g)) {
+    const int plane = plane_of[g];
+    if (!netlist.is_io(g)) {
       if (plane < 0 || plane >= num_planes) {
         report.verdict = CertifyVerdict::kLabelOutOfRange;
         report.message = str_format(
@@ -215,47 +267,25 @@ CertifyReport certify_partition(const Netlist& netlist,
 
   // Labels are well-formed: re-derive everything (even when a later check
   // fails, the derived numbers are reported for diagnosis).
+  Labeling labeling;
+  labeling.plane_of = plane_of;
   const CertifiedInstance instance =
-      build_certified_instance(netlist, num_planes, weights);
-  std::vector<int> labels(static_cast<std::size_t>(instance.num_gates()));
-  for (int i = 0; i < instance.num_gates(); ++i) {
-    labels[static_cast<std::size_t>(i)] =
-        partition.plane(instance.gate_ids[static_cast<std::size_t>(i)]);
-  }
-  report.terms = instance.terms_of(labels, weights);
+      derive_instance(netlist, num_planes, weights, &labeling);
+  std::vector<double> plane_bias;
+  std::vector<double> plane_area;
+  report.terms = derive_terms(instance, labeling.labels, weights, plane_bias,
+                              plane_area);
   report.total = report.terms.total(weights);
 
   // I_comp / A_FS (equation 11): per-plane bias/area sums vs the heaviest
   // plane.
-  {
-    std::vector<double> plane_bias(static_cast<std::size_t>(num_planes), 0.0);
-    std::vector<double> plane_area(static_cast<std::size_t>(num_planes), 0.0);
-    for (int i = 0; i < instance.num_gates(); ++i) {
-      const auto plane = static_cast<std::size_t>(labels[static_cast<std::size_t>(i)]);
-      plane_bias[plane] += instance.bias[static_cast<std::size_t>(i)];
-      plane_area[plane] += instance.area[static_cast<std::size_t>(i)];
-    }
-    const double bmax = *std::max_element(plane_bias.begin(), plane_bias.end());
-    const double amax = *std::max_element(plane_area.begin(), plane_area.end());
-    for (int k = 0; k < num_planes; ++k) {
-      report.icomp_ma += bmax - plane_bias[static_cast<std::size_t>(k)];
-      report.afs_um2 += amax - plane_area[static_cast<std::size_t>(k)];
-    }
+  const double bmax = *std::max_element(plane_bias.begin(), plane_bias.end());
+  const double amax = *std::max_element(plane_area.begin(), plane_area.end());
+  for (int k = 0; k < num_planes; ++k) {
+    report.icomp_ma += bmax - plane_bias[static_cast<std::size_t>(k)];
+    report.afs_um2 += amax - plane_area[static_cast<std::size_t>(k)];
   }
-
-  // Coupling pairs: one directed link per net sink (clock edges
-  // included), each crossing |plane(sink) - plane(driver)| boundaries and
-  // needing that many driver/receiver pairs.
-  for (NetId n = 0; n < netlist.num_nets(); ++n) {
-    const Net& net = netlist.net(n);
-    if (net.driver.gate == kInvalidGate) continue;
-    if (!partition.assigned(net.driver.gate)) continue;
-    const int from = partition.plane(net.driver.gate);
-    for (const PinRef& sink : net.sinks) {
-      if (!partition.assigned(sink.gate)) continue;
-      report.coupling_pairs += std::abs(partition.plane(sink.gate) - from);
-    }
-  }
+  report.coupling_pairs = labeling.coupling_pairs;
 
   // 3. Constraints: every fixed gate on its required plane.
   if (constraints != nullptr && !constraints->empty()) {

@@ -78,7 +78,9 @@ struct CertifiedInstance {
   std::vector<int> compact_of_gate;        // GateId -> compact, -1 for I/O
   std::vector<double> bias;                // b_i [mA]
   std::vector<double> area;                // a_i [um^2]
-  std::vector<std::pair<int, int>> edges;  // undirected, compact, from < to
+  // Undirected, compact, from < to, in the order of each edge's first
+  // net sink (net order, then sink order).
+  std::vector<std::pair<int, int>> edges;
   double total_bias = 0.0;
   double total_area = 0.0;
   // Normalization constants of equations 4-6 and 9, re-derived.

@@ -237,15 +237,29 @@ PartitionProblem PartitionProblem::from_netlist(const Netlist& netlist, int num_
   PartitionProblem problem;
   problem.num_planes = num_planes;
 
-  std::vector<int> compact(static_cast<std::size_t>(netlist.num_gates()), -1);
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    if (!netlist.is_partitionable(g)) continue;
+  // Every output is reserved to its final size, and each gate's cell
+  // record is read once.
+  const int num_gates = netlist.num_gates();
+  const auto num_compact =
+      static_cast<std::size_t>(netlist.num_partitionable_gates());
+  problem.gate_ids.reserve(num_compact);
+  problem.bias.reserve(num_compact);
+  problem.area.reserve(num_compact);
+  std::vector<int> compact(static_cast<std::size_t>(num_gates));
+  for (GateId g = 0; g < num_gates; ++g) {
+    if (netlist.is_io(g)) {
+      compact[static_cast<std::size_t>(g)] = -1;
+      continue;
+    }
+    const Cell& cell = netlist.cell_of(g);
     compact[static_cast<std::size_t>(g)] = problem.num_gates++;
     problem.gate_ids.push_back(g);
-    problem.bias.push_back(netlist.bias_of(g));
-    problem.area.push_back(netlist.area_of(g));
+    problem.bias.push_back(cell.bias_ma);
+    problem.area.push_back(cell.area_um2);
   }
-  for (const Connection& edge : netlist.unique_edges()) {
+  const std::vector<Connection>& edges = netlist.unique_edges();
+  problem.edges.reserve(edges.size());
+  for (const Connection& edge : edges) {
     problem.edges.emplace_back(compact[static_cast<std::size_t>(edge.from)],
                                compact[static_cast<std::size_t>(edge.to)]);
   }

@@ -10,7 +10,6 @@
 // of magnitude cheaper than a scratch V-cycle. With compare_scratch the
 // engine additionally runs a scratch vcycle on the same netlist and
 // reports "speedup_vs_scratch" / "cost_drift_pct" counters.
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -102,8 +101,9 @@ class EcoAdapter final : public EngineAdapter {
 
     // BFS halo: the dirty region the restricted refinement may move.
     // `hops[i]` is the BFS depth (0 = seed); gates beyond `halo` hops are
-    // frozen. The frontier is processed in ascending gate order per
-    // level, so the active set is deterministic.
+    // frozen. A gate's depth does not depend on the order a frontier is
+    // expanded in, and `active` is collected by an index scan, so the
+    // frontiers stay in discovery order.
     std::vector<int> hops(static_cast<std::size_t>(n), -1);
     std::vector<int> frontier = seeds;
     for (const int gate : seeds) hops[static_cast<std::size_t>(gate)] = 0;
@@ -121,7 +121,6 @@ class EcoAdapter final : public EngineAdapter {
           }
         }
       }
-      std::sort(next.begin(), next.end());
       frontier = std::move(next);
     }
     std::vector<int> active;

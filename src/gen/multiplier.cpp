@@ -26,7 +26,7 @@ Netlist build_multiplier(int width) {
 
   // Partial products by column: column c holds every a[i]&b[j] with i+j==c.
   const std::size_t num_cols = static_cast<std::size_t>(2 * width);
-  std::vector<std::vector<CSig>> col(num_cols + 1);
+  std::vector<std::vector<CSig>> col(num_cols);
   for (int j = 0; j < width; ++j) {
     for (int i = 0; i < width; ++i) {
       col[static_cast<std::size_t>(i + j)].push_back(
@@ -43,6 +43,19 @@ Netlist build_multiplier(int width) {
     for (const auto& bits : col) h = std::max(h, bits.size());
     return h;
   };
+  // The product fits 2W bits, so a carry out of the top column 2W-1 is
+  // arithmetically zero, though not folded to a constant: it is dropped
+  // where it is pushed, and prune_unused removes its logic along with
+  // any structurally dangling prefix terms.
+  auto push_carry = [num_cols](std::vector<std::vector<CSig>>& next,
+                               std::size_t c, const CSig& carry) {
+    if (c + 1 < num_cols) {
+      next[c + 1].push_back(carry);
+      return;
+    }
+    assert(carry.konst != 1 &&
+           "constant-one carry out of the top product column");
+  };
   while (max_height() > 2) {
     std::vector<std::vector<CSig>> next(col.size());
     for (std::size_t c = 0; c < col.size(); ++c) {
@@ -51,15 +64,13 @@ Netlist build_multiplier(int width) {
       while (bits.size() - i >= 3) {
         const auto fa = ops.full_adder(bits[i], bits[i + 1], bits[i + 2]);
         next[c].push_back(fa.sum);
-        assert(c + 1 < next.size());
-        next[c + 1].push_back(fa.carry);
+        push_carry(next, c, fa.carry);
         i += 3;
       }
       if (bits.size() - i == 2) {
         const auto ha = ops.half_adder(bits[i], bits[i + 1]);
         next[c].push_back(ha.sum);
-        assert(c + 1 < next.size());
-        next[c + 1].push_back(ha.carry);
+        push_carry(next, c, ha.carry);
       } else if (bits.size() - i == 1) {
         next[c].push_back(bits[i]);
       }
@@ -68,11 +79,7 @@ Netlist build_multiplier(int width) {
   }
 
   // Final carry-propagate addition of the two remaining rows with a
-  // Kogge-Stone prefix adder. Column 2W collects the reduction's carries
-  // out of bit 2W-1 (the 8- and 12-bit trees produce some). The product
-  // fits 2W bits, so each is arithmetically zero, though not folded to a
-  // constant: the adder drops them, and prune_unused removes their
-  // logic along with any structurally dangling prefix terms.
+  // Kogge-Stone prefix adder, whose carry out of bit 2W-1 is dropped too.
   std::vector<CSig> row_x(num_cols, CSig::zero());
   std::vector<CSig> row_y(num_cols, CSig::zero());
   for (std::size_t c = 0; c < num_cols; ++c) {
@@ -80,9 +87,6 @@ Netlist build_multiplier(int width) {
     if (col[c].size() > 1) row_y[c] = col[c][1];
     assert(col[c].size() <= 2);
   }
-  assert(std::none_of(col[num_cols].begin(), col[num_cols].end(),
-                      [](const CSig& carry) { return carry.konst == 1; }) &&
-         "constant-one carry out of the top product column");
   const std::vector<CSig> sum = ks_prefix_add(ops, row_x, row_y, CSig::zero());
 
   for (std::size_t c = 0; c < num_cols; ++c) {

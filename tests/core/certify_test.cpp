@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -17,12 +18,16 @@
 #include <gtest/gtest.h>
 
 #include "core/cost_model.h"
+#include "core/delta.h"
 #include "core/engine.h"
+#include "gen/mutate.h"
+#include "gen/random_logic.h"
 #include "gen/scaled.h"
 #include "gen/suite.h"
 #include "metrics/partition_metrics.h"
 #include "netlist/netlist.h"
 #include "recycling/coupling.h"
+#include "util/hash.h"
 
 namespace sfqpart {
 namespace {
@@ -213,6 +218,59 @@ TEST(Certify, CostComparisonUsesRelativeTolerance) {
             CertifyVerdict::kCostMismatch);
 }
 
+// The label check walks the gates in id order and reports the first
+// offender, whichever of its two messages applies: an assigned I/O gate
+// below an out-of-range partitionable label is reported, and the other
+// way round.
+TEST(Certify, LabelCheckReportsTheLowestOffendingGate) {
+  const Netlist netlist = build_mapped("ksa4");
+  const int num_planes = 3;
+  Partition partition;
+  partition.num_planes = num_planes;
+  for (GateId g = 0; g < netlist.num_gates(); ++g) {
+    partition.plane_of.push_back(
+        netlist.is_partitionable(g) ? g % num_planes : kUnassignedPlane);
+  }
+  ASSERT_TRUE(certify_partition(netlist, partition, num_planes, CostWeights{})
+                  .valid());
+  GateId io = kInvalidGate;
+  GateId io_above = kInvalidGate;  // an I/O gate above a partitionable one
+  GateId inner = kInvalidGate;     // a partitionable gate above `io`
+  for (GateId g = 0; g < netlist.num_gates(); ++g) {
+    if (!netlist.is_partitionable(g)) {
+      if (io == kInvalidGate) io = g;
+      if (inner != kInvalidGate && io_above == kInvalidGate) io_above = g;
+    } else if (io != kInvalidGate && inner == kInvalidGate) {
+      inner = g;
+    }
+  }
+  ASSERT_NE(inner, kInvalidGate);
+  ASSERT_NE(io_above, kInvalidGate);
+
+  Partition io_first = partition;
+  io_first.plane_of[static_cast<std::size_t>(io)] = 1;
+  io_first.plane_of[static_cast<std::size_t>(inner)] = num_planes;
+  const CertifyReport io_report =
+      certify_partition(netlist, io_first, num_planes, CostWeights{});
+  EXPECT_EQ(io_report.verdict, CertifyVerdict::kLabelOutOfRange);
+  EXPECT_EQ(io_report.message,
+            "I/O gate " + std::to_string(io) + " ('" +
+                netlist.gate(io).name.c_str() +
+                "') was assigned plane 1; interface cells stay on the "
+                "shared pad-ring ground");
+
+  Partition inner_first = partition;
+  inner_first.plane_of[static_cast<std::size_t>(inner)] = -2;
+  inner_first.plane_of[static_cast<std::size_t>(io_above)] = 0;
+  const CertifyReport inner_report =
+      certify_partition(netlist, inner_first, num_planes, CostWeights{});
+  EXPECT_EQ(inner_report.verdict, CertifyVerdict::kLabelOutOfRange);
+  EXPECT_EQ(inner_report.message,
+            "gate " + std::to_string(inner) + " ('" +
+                netlist.gate(inner).name.c_str() +
+                "') has plane -2 outside [0, 3)");
+}
+
 // The re-derived physical quantities agree with the production metrics
 // and coupling pipelines — two code paths, one physics.
 TEST(Certify, PhysicalQuantitiesMatchMetricsPipeline) {
@@ -355,6 +413,164 @@ TEST(CertifyDedup, KeepsFirstOccurrenceOrderOnAScaledChip) {
   }
   EXPECT_EQ(instance.edges, first_order);
 }
+
+// The test above on any netlist: its std::set replay and its
+// unique_edges() cross-check, for the inputs below.
+void expect_first_occurrence_order(const Netlist& netlist) {
+  expect_dedup_matches_unique_edges(netlist);
+  const CertifiedInstance instance =
+      build_certified_instance(netlist, 5, CostWeights{});
+  std::set<std::pair<int, int>> seen;
+  std::vector<std::pair<int, int>> first_order;
+  for (NetId n = 0; n < netlist.num_nets(); ++n) {
+    const Net& net = netlist.net(n);
+    if (net.driver.gate == kInvalidGate) continue;
+    const int from =
+        instance.compact_of_gate[static_cast<std::size_t>(net.driver.gate)];
+    if (from < 0) continue;
+    for (const PinRef& sink : net.sinks) {
+      const int to =
+          instance.compact_of_gate[static_cast<std::size_t>(sink.gate)];
+      if (to < 0 || to == from) continue;
+      const std::pair<int, int> edge{std::min(from, to), std::max(from, to)};
+      if (seen.insert(edge).second) first_order.push_back(edge);
+    }
+  }
+  EXPECT_EQ(instance.edges, first_order) << netlist.name();
+}
+
+// An unmapped logic cloud: nets with wide fanout, so lo groups of many
+// pairs and repeats from one driver.
+TEST(CertifyDedup, KeepsFirstOccurrenceOrderOnALogicCloud) {
+  RandomLogicParams params;
+  params.num_gates = 2000;
+  params.seed = 7;
+  const Netlist netlist = build_random_logic(params);
+  expect_first_occurrence_order(netlist);
+}
+
+// A gen/mutate revision: removed gates leave undriven sinks behind and
+// added gates append nets out of creation order.
+TEST(CertifyDedup, KeepsFirstOccurrenceOrderOnAnEcoRevision) {
+  ScaledParams params;
+  params.num_gates = 5000;
+  params.seed = 4;
+  MutateParams mutation;
+  mutation.seed = 9;
+  const Netlist after = mutate_netlist(build_scaled(params), mutation);
+  expect_first_occurrence_order(after);
+}
+
+// The Table I circuits: I/O endpoints and clock sinks.
+TEST(CertifyDedup, KeepsFirstOccurrenceOrderOnTableICircuits) {
+  for (const SuiteEntry& entry : benchmark_suite()) {
+    const Netlist netlist = build_mapped(entry);
+    expect_first_occurrence_order(netlist);
+  }
+}
+
+// Bit pins of the certifier's report: FNV-1a over the raw bits of f1..f4,
+// total, I_comp, A_FS and the coupling pairs, recorded before the
+// streaming re-derivation (DESIGN.md section 13.1) replaced the hash-set
+// dedup. The labels come from the engines, so a re-pin of their goldens
+// re-pins these too.
+struct ReportPin {
+  const char* name;
+  std::uint64_t hash;
+};
+
+std::uint64_t report_hash(const CertifyReport& report) {
+  Fnv1a64 hash;
+  for (const double value :
+       {report.terms.f1, report.terms.f2, report.terms.f3, report.terms.f4,
+        report.total, report.icomp_ma, report.afs_um2}) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    hash.update(&bits, sizeof bits);
+  }
+  hash.update(&report.coupling_pairs, sizeof report.coupling_pairs);
+  return hash.digest();
+}
+
+EngineContext pin_context() {
+  EngineContext context;
+  context.num_planes = 5;
+  context.seed = 1;
+  return context;
+}
+
+Netlist pin_chip(std::uint64_t seed) {
+  ScaledParams params;
+  params.num_gates = 20000;
+  params.seed = seed;
+  return build_scaled(params);
+}
+
+// The certified report of one pin input: "chip<seed>" is a 2*10^4-gate
+// chip with vcycle labels, "chip1_eco<seed>" a gen/mutate revision of
+// chip 1 with eco labels, anything else a Table I circuit with gradient
+// labels.
+CertifyReport pinned_report(const std::string& name) {
+  const EngineContext context = pin_context();
+  auto certify = [&](const Netlist& netlist, const StatusOr<EngineRun>& run) {
+    EXPECT_TRUE(run.is_ok()) << name << ": " << run.status().message();
+    const CertifyExpectation expect{run->discrete_terms, run->discrete_total};
+    const CertifyReport report = certify_partition(
+        netlist, run->partition, context.num_planes, CostWeights{}, &expect);
+    EXPECT_TRUE(report.valid()) << name << ": " << report.message;
+    return report;
+  };
+  const auto vcycle = EngineRegistry::create("vcycle");
+  if (name.rfind("chip1_eco", 0) == 0) {
+    const Netlist before = pin_chip(1);
+    const auto solved = (*vcycle)->run(before, context);
+    MutateParams mutation;
+    mutation.seed = std::stoull(name.substr(9));
+    const Netlist after = mutate_netlist(before, mutation);
+    return certify(after,
+                   repartition(before, solved->partition, after, context));
+  }
+  if (name.rfind("chip", 0) == 0) {
+    const Netlist netlist = pin_chip(std::stoull(name.substr(4)));
+    return certify(netlist, (*vcycle)->run(netlist, context));
+  }
+  const Netlist netlist = build_mapped(name);
+  return certify(netlist,
+                 (*EngineRegistry::create("gradient"))->run(netlist, context));
+}
+
+class CertifyPin : public ::testing::TestWithParam<ReportPin> {};
+
+TEST_P(CertifyPin, ReproducesPinnedReportBits) {
+  const CertifyReport report = pinned_report(GetParam().name);
+  EXPECT_EQ(report_hash(report), GetParam().hash)
+      << std::hex << report_hash(report);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, CertifyPin,
+    ::testing::Values(
+        ReportPin{"chip1", 0x038d54f13d0a5d89ull},
+        ReportPin{"chip2", 0x75128ae3c9f0322aull},
+        ReportPin{"chip3", 0x7de3843cf508e601ull},
+        ReportPin{"chip1_eco1", 0x42fcc271a031c329ull},
+        ReportPin{"chip1_eco2", 0x2362aaaa04448abbull},
+        ReportPin{"ksa4", 0xd43ac1f6d06dccaaull},
+        ReportPin{"ksa8", 0xf486b64ef167de3aull},
+        ReportPin{"ksa16", 0x4d688005fdd24d75ull},
+        ReportPin{"ksa32", 0x38420df0572d411dull},
+        ReportPin{"mult4", 0xab110e6368fa1a3aull},
+        ReportPin{"mult8", 0x88caaa044055796aull},
+        ReportPin{"id4", 0xd8e764903f0264d1ull},
+        ReportPin{"id8", 0xf62daa335622777full},
+        ReportPin{"c432", 0x7ada382712e0d15bull},
+        ReportPin{"c499", 0x0dab4c7a5365d006ull},
+        ReportPin{"c1355", 0x5d7b47b36c0011feull},
+        ReportPin{"c1908", 0x1de4624fd7d41b66ull},
+        ReportPin{"c3540", 0x15e1fe867618ce5bull}),
+    [](const ::testing::TestParamInfo<ReportPin>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace sfqpart
