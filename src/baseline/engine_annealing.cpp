@@ -20,10 +20,7 @@ class AnnealingAdapter final : public EngineAdapter {
            "with single-gate moves under geometric cooling";
   }
   std::vector<OptionSpec> describe_options() const override {
-    std::vector<OptionSpec> specs = {planes_spec(), seed_spec(),
-                                     certify_spec()};
-    for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
-    return specs;
+    return option_specs({"planes", "seed", "certify", "c1", "c2", "c3", "c4", "distance_exponent"});
   }
 
  protected:

@@ -21,7 +21,7 @@ class FmKwayAdapter final : public EngineAdapter {
            "bias-balance constraint)";
   }
   std::vector<OptionSpec> describe_options() const override {
-    return {planes_spec(), seed_spec(), certify_spec()};
+    return option_specs({"planes", "seed", "certify"});
   }
 
  protected:

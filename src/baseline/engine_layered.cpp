@@ -22,7 +22,7 @@ class LayeredAdapter final : public EngineAdapter {
            "(deterministic and seedless)";
   }
   std::vector<OptionSpec> describe_options() const override {
-    return {planes_spec(), certify_spec()};
+    return option_specs({"planes", "certify"});
   }
 
  protected:

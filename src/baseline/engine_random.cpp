@@ -21,7 +21,7 @@ class RandomAdapter final : public EngineAdapter {
     return "shuffled round-robin balanced assignment (lower baseline)";
   }
   std::vector<OptionSpec> describe_options() const override {
-    return {planes_spec(), seed_spec(), certify_spec()};
+    return option_specs({"planes", "seed", "certify"});
   }
 
  protected:

@@ -427,10 +427,7 @@ double CostModel::f1_and_slot_grad(const Aggregates& agg, Workspace& ws) const {
   const std::size_t edge_chunks = chunk_count(edges, kReductionGrain);
   ws.f1_partial.reset(edge_chunks, 1);
   ws.slot_grad.resize(2 * edges);
-  const simd::KernelTable& kt = simd::kernels();
-  const simd::EdgeGradFn fn =
-      (fast_math_ && kt.edge_grad_fast != nullptr) ? kt.edge_grad_fast
-                                                   : kt.edge_grad;
+  const simd::EdgeGradFn fn = simd::kernels().edge_grad;
   simd::EdgeGradArgs args{problem().edges.data(),
                           agg.labels.data(),
                           view_->slot_of_first(),

@@ -150,14 +150,6 @@ class CostModel {
   void set_gradient_engine(GradientEngine engine) { engine_ = engine; }
   GradientEngine gradient_engine() const { return engine_; }
 
-  // Opt-in reassociated vector reductions (the `fast_math` engine option).
-  // Off (the default) keeps every path bit-identical to the scalar kernel
-  // tier; on trades that pin for lane-parallel accumulation in the edge
-  // pass, within the tolerance the A/B test enforces. No-op on the scalar
-  // tier, which has no fast variant.
-  void set_fast_math(bool on) { fast_math_ = on; }
-  bool fast_math() const { return fast_math_; }
-
   // Normalization constants (for incremental delta evaluation in refine).
   double n1() const { return n1_; }
   double n2() const { return n2_; }
@@ -224,7 +216,6 @@ class CostModel {
   CostWeights weights_;
   GradientStyle style_;
   GradientEngine engine_ = GradientEngine::kCsrGather;
-  bool fast_math_ = false;
   ThreadPool* pool_ = nullptr;
   // Normalization constants (equations 4-6, 9). Computed once.
   double n1_ = 1.0;

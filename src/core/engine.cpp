@@ -1,11 +1,15 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <span>
+#include <type_traits>
+#include <variant>
 
 #include "core/certify.h"
 #include "core/engine_adapter.h"
@@ -60,106 +64,214 @@ Json OptionSpec::to_json() const {
 
 namespace {
 
-// Numeric value of one validated option; bools are 0/1.
-Status option_value(const OptionSpec& spec, const Json& value, double& out) {
-  if (spec.type == OptionSpec::Type::kBool) {
-    if (!value.is_bool()) {
-      return Status::invalid_argument(str_format(
-          "option '%s' must be a bool", spec.name.c_str()));
+// The EngineContext (or CostWeights) member one knob reads and writes.
+using Field =
+    std::variant<int EngineContext::*, std::uint64_t EngineContext::*,
+                 bool EngineContext::*, std::string EngineContext::*,
+                 double CostWeights::*, int CostWeights::*>;
+
+template <typename Context, typename T>
+Context& owner(Context& context, T EngineContext::*) {
+  return context;
+}
+template <typename Context, typename T>
+auto& owner(Context& context, T CostWeights::*) {
+  return context.weights;
+}
+
+template <typename Class, typename T>
+constexpr OptionSpec::Type type_of(T Class::*) {
+  if constexpr (std::is_same_v<T, bool>) return OptionSpec::Type::kBool;
+  else if constexpr (std::is_same_v<T, std::string>) return OptionSpec::Type::kString;
+  else if constexpr (std::is_same_v<T, double>) return OptionSpec::Type::kDouble;
+  else return OptionSpec::Type::kInt;
+}
+
+// A field's value in the form a job option carries it.
+Json read_field(const Field& field, const EngineContext& context) {
+  return std::visit(
+      [&](auto member) {
+        const auto& value = owner(context, member).*member;
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, bool>) return Json::boolean(value);
+        else if constexpr (std::is_same_v<T, std::string>) return Json::string(value);
+        else return Json::number(static_cast<double>(value));
+      },
+      field);
+}
+
+// Stores a value that check_value() accepted.
+void write_field(const Field& field, const Json& value, EngineContext& context) {
+  std::visit(
+      [&](auto member) {
+        auto& target = owner(context, member).*member;
+        using T = std::decay_t<decltype(target)>;
+        if constexpr (std::is_same_v<T, bool>) target = value.as_bool();
+        else if constexpr (std::is_same_v<T, std::string>) target = value.as_string();
+        else target = static_cast<T>(value.as_number());
+      },
+      field);
+}
+
+// Numeric value of a bool or number; bools are 0/1.
+double number_of(const Json& value) {
+  return value.is_bool() ? (value.as_bool() ? 1.0 : 0.0) : value.as_number();
+}
+
+// One engine knob: name, range, doc, accepted values (string knobs only)
+// and the field it is bound to. Its type follows from the field's type
+// and its default is the field's value in EngineContext{}.
+struct Knob {
+  const char* name;
+  Field field;
+  double min_value;
+  double max_value;
+  const char* doc;
+  std::span<const char* const> values = {};
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr const char* kRefineStyles[] = {"banded", "buckets"};
+
+// Every engine knob, once. Table order is canonical order: each engine's
+// describe_options() is a subsequence of it, and apply_engine_options()
+// writes the canonical form in it.
+constexpr Knob kKnobs[] = {
+    {"planes", &EngineContext::num_planes, 2, 1024,
+     "number of ground planes K"},
+    {"seed", &EngineContext::seed, 0, 9.007199254740992e15,
+     "random seed; results are deterministic per seed"},
+    {"restarts", &EngineContext::restarts, 1, 4096,
+     "independent random restarts; best discrete cost wins"},
+    {"threads", &EngineContext::threads, 0, 512,
+     "worker threads (0 = hardware concurrency); never changes the result"},
+    {"refine", &EngineContext::refine, -kInf, kInf,
+     "post-hardening greedy refinement (not part of the published "
+     "algorithm)"},
+    {"band", &EngineContext::band, 1, 1023,
+     "plane radius of the banded uncoarsening refinement"},
+    {"coarse_target", &EngineContext::coarse_target, 16, 1048576,
+     "stop coarsening at this many vertices; the gradient descent runs on "
+     "the coarsest level only"},
+    {"max_levels", &EngineContext::max_levels, 1, 128,
+     "maximum coarsening levels"},
+    {"max_passes", &EngineContext::max_passes, 1, 4096,
+     "maximum banded refinement passes per level"},
+    {"refine_style", &EngineContext::refine_style, -kInf, kInf,
+     "uncoarsening refinement flavor: 'banded' parallel propose/commit "
+     "sweeps or 'buckets' serial FM-style best-gain moves",
+     kRefineStyles},
+    {"halo", &EngineContext::halo, 0, 64,
+     "adjacency hops beyond the dirty region the restricted refinement may "
+     "still move"},
+    {"compare_scratch", &EngineContext::compare_scratch, -kInf, kInf,
+     "also run a scratch vcycle and report speedup_vs_scratch / "
+     "cost_drift_pct counters (costs a full cold solve)"},
+    {"max_gates", &EngineContext::max_gates, 1, 64,
+     "largest partitionable gate count the exhaustive search accepts (cost "
+     "grows as K^G)"},
+    {"certify", &EngineContext::certify, -kInf, kInf,
+     "independently re-derive and check the result (core/certify.h); the "
+     "run fails on any non-valid verdict"},
+    {"c1", &CostWeights::c1, -kInf, kInf, "weight of the F1 locality term"},
+    {"c2", &CostWeights::c2, -kInf, kInf,
+     "weight of the F2 bias-balance term"},
+    {"c3", &CostWeights::c3, -kInf, kInf,
+     "weight of the F3 area-balance term"},
+    {"c4", &CostWeights::c4, -kInf, kInf,
+     "weight of the F4 one-hot pressure term"},
+    {"distance_exponent", &CostWeights::distance_exponent, 1, 12,
+     "plane-distance exponent of the F1 term"},
+};
+
+OptionSpec::Type type_of(const Knob& row) {
+  return std::visit([](auto member) { return type_of(member); }, row.field);
+}
+
+OptionSpec spec_of(const Knob& row) {
+  OptionSpec spec;
+  spec.name = row.name;
+  spec.type = type_of(row);
+  const Json value = read_field(row.field, EngineContext{});
+  if (value.is_string()) {
+    spec.default_text = value.as_string();
+  } else {
+    spec.default_value = number_of(value);
+  }
+  spec.min_value = row.min_value;
+  spec.max_value = row.max_value;
+  spec.doc = row.doc;
+  spec.enum_values.assign(row.values.begin(), row.values.end());
+  return spec;
+}
+
+const Knob* find_knob(const std::string& name) {
+  for (const Knob& row : kKnobs) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
+}
+
+// The one per-value check, whichever way a value arrives: as a job
+// option, a sweep point, a CLI flag or a field set on EngineContext.
+Status check_value(const Knob& row, const Json& value) {
+  const char* name = row.name;
+  const OptionSpec::Type type = type_of(row);
+  switch (type) {
+    case OptionSpec::Type::kBool:
+      if (!value.is_bool()) {
+        return Status::invalid_argument(
+            str_format("option '%s' must be a bool", name));
+      }
+      return Status::ok();
+    case OptionSpec::Type::kString: {
+      if (!value.is_string()) {
+        return Status::invalid_argument(
+            str_format("option '%s' must be a string", name));
+      }
+      const std::string& text = value.as_string();
+      std::string allowed;
+      for (const char* candidate : row.values) {
+        if (text == candidate) return Status::ok();
+        if (!allowed.empty()) allowed += ", ";
+        allowed += candidate;
+      }
+      return Status::invalid_argument(
+          str_format("option '%s' = '%s' is not one of: %s", name,
+                     text.c_str(), allowed.c_str()));
     }
-    out = value.as_bool() ? 1.0 : 0.0;
-    return Status::ok();
+    case OptionSpec::Type::kInt:
+    case OptionSpec::Type::kDouble:
+      break;
   }
   if (!value.is_number()) {
-    return Status::invalid_argument(str_format(
-        "option '%s' must be a number", spec.name.c_str()));
+    return Status::invalid_argument(
+        str_format("option '%s' must be a number", name));
   }
   const double number = value.as_number();
   if (!std::isfinite(number)) {
-    return Status::invalid_argument(str_format(
-        "option '%s' must be finite", spec.name.c_str()));
-  }
-  if (spec.type == OptionSpec::Type::kInt &&
-      number != static_cast<double>(static_cast<long long>(number))) {
-    return Status::invalid_argument(str_format(
-        "option '%s' must be an integer, got %g", spec.name.c_str(), number));
-  }
-  if (number < spec.min_value || number > spec.max_value) {
-    return Status::invalid_argument(str_format(
-        "option '%s' = %g is out of range [%g, %g]", spec.name.c_str(),
-        number, spec.min_value, spec.max_value));
-  }
-  out = number;
-  return Status::ok();
-}
-
-// Text value of one validated kString option: must be a JSON string and a
-// member of the spec's closed enum set.
-Status option_text(const OptionSpec& spec, const Json& value,
-                   std::string& out) {
-  if (!value.is_string()) {
     return Status::invalid_argument(
-        str_format("option '%s' must be a string", spec.name.c_str()));
+        str_format("option '%s' must be finite", name));
   }
-  const std::string& text = value.as_string();
-  for (const std::string& allowed : spec.enum_values) {
-    if (text == allowed) {
-      out = text;
-      return Status::ok();
-    }
-  }
-  std::string allowed;
-  for (const std::string& candidate : spec.enum_values) {
-    if (!allowed.empty()) allowed += ", ";
-    allowed += candidate;
-  }
-  return Status::invalid_argument(
-      str_format("option '%s' = '%s' is not one of: %s", spec.name.c_str(),
-                 text.c_str(), allowed.c_str()));
-}
-
-// Writes one resolved option onto the EngineContext field it names.
-Status set_context_field(const std::string& name, double value,
-                         EngineContext& context) {
-  if (name == "planes") context.num_planes = static_cast<int>(value);
-  else if (name == "seed") context.seed = static_cast<std::uint64_t>(value);
-  else if (name == "restarts") context.restarts = static_cast<int>(value);
-  else if (name == "threads") context.threads = static_cast<int>(value);
-  else if (name == "refine") context.refine = value != 0.0;
-  else if (name == "fast_math") context.fast_math = value != 0.0;
-  else if (name == "band") context.band = static_cast<int>(value);
-  else if (name == "coarse_target") context.coarse_target = static_cast<int>(value);
-  else if (name == "max_levels") context.max_levels = static_cast<int>(value);
-  else if (name == "max_passes") context.max_passes = static_cast<int>(value);
-  else if (name == "max_gates") context.max_gates = static_cast<int>(value);
-  else if (name == "halo") context.halo = static_cast<int>(value);
-  else if (name == "compare_scratch") context.compare_scratch = value != 0.0;
-  else if (name == "certify") context.certify = value != 0.0;
-  else if (name == "c1") context.weights.c1 = value;
-  else if (name == "c2") context.weights.c2 = value;
-  else if (name == "c3") context.weights.c3 = value;
-  else if (name == "c4") context.weights.c4 = value;
-  else if (name == "distance_exponent")
-    context.weights.distance_exponent = static_cast<int>(value);
-  else
+  if (type == OptionSpec::Type::kInt && std::trunc(number) != number) {
     return Status::invalid_argument(str_format(
-        "option spec '%s' maps to no EngineContext field", name.c_str()));
-  return Status::ok();
-}
-
-// String-typed counterpart of set_context_field.
-Status set_context_string_field(const std::string& name,
-                                const std::string& value,
-                                EngineContext& context) {
-  if (name == "refine_style") {
-    context.refine_style = value;
-    return Status::ok();
+        "option '%s' must be an integer, got %g", name, number));
   }
-  return Status::invalid_argument(str_format(
-      "option spec '%s' maps to no EngineContext string field", name.c_str()));
+  if (number < row.min_value || number > row.max_value) {
+    return Status::invalid_argument(
+        str_format("option '%s' = %g is out of range [%g, %g]", name, number,
+                   row.min_value, row.max_value));
+  }
+  return Status::ok();
 }
 
 }  // namespace
+
+std::vector<OptionSpec> engine_option_table() {
+  std::vector<OptionSpec> specs;
+  for (const Knob& row : kKnobs) specs.push_back(spec_of(row));
+  return specs;
+}
 
 Status apply_engine_options(const std::vector<OptionSpec>& specs,
                             const Json& options, EngineContext& context,
@@ -184,93 +296,39 @@ Status apply_engine_options(const std::vector<OptionSpec>& specs,
     }
   }
   if (canonical != nullptr) canonical->clear();
+  const EngineContext defaults;
   for (const OptionSpec& spec : specs) {
-    if (spec.type == OptionSpec::Type::kString) {
-      std::string text = spec.default_text;
-      if (const Json* provided = options.find(spec.name); provided != nullptr) {
-        if (Status status = option_text(spec, *provided, text); !status) {
-          return status;
-        }
-      }
-      if (Status status = set_context_string_field(spec.name, text, context);
-          !status) {
-        return status;
-      }
-      if (canonical != nullptr) {
-        *canonical += str_format("%s=%s;", spec.name.c_str(), text.c_str());
-      }
-      continue;
+    const Knob* row = find_knob(spec.name);
+    if (row == nullptr) {
+      return Status::invalid_argument(str_format(
+          "option spec '%s' maps to no EngineContext field", spec.name.c_str()));
     }
-    double value = spec.default_value;
-    if (const Json* provided = options.find(spec.name); provided != nullptr) {
-      if (Status status = option_value(spec, *provided, value); !status) {
-        return status;
-      }
-    }
-    if (Status status = set_context_field(spec.name, value, context); !status) {
-      return status;
-    }
+    const Json* provided = options.find(spec.name);
+    const Json value =
+        provided != nullptr ? *provided : read_field(row->field, defaults);
+    if (Status status = check_value(*row, value); !status) return status;
+    write_field(row->field, value, context);
     // "threads" is excluded from the canonical form: the determinism
     // contract makes results bit-identical at any thread count, so two
     // jobs differing only in their thread budget are the same result.
-    if (canonical != nullptr && spec.name != "threads") {
-      *canonical += str_format("%s=%.17g;", spec.name.c_str(), value);
+    if (canonical == nullptr || spec.name == "threads") continue;
+    if (value.is_string()) {
+      *canonical += str_format("%s=%s;", spec.name.c_str(),
+                               value.as_string().c_str());
+    } else {
+      *canonical +=
+          str_format("%s=%.17g;", spec.name.c_str(), number_of(value));
     }
   }
   return Status::ok();
 }
 
 Status EngineContext::validate() const {
-  if (num_planes < 2) {
-    return Status::invalid_argument(
-        str_format("num_planes must be >= 2, got %d", num_planes));
-  }
-  if (restarts < 1) {
-    return Status::invalid_argument(
-        str_format("restarts must be >= 1, got %d", restarts));
-  }
-  if (threads < 0) {
-    return Status::invalid_argument(
-        str_format("threads must be >= 0 (0 = hardware concurrency), got %d",
-                   threads));
-  }
-  if (!std::isfinite(weights.c1) || !std::isfinite(weights.c2) ||
-      !std::isfinite(weights.c3) || !std::isfinite(weights.c4)) {
-    return Status::invalid_argument("cost weights must be finite");
-  }
-  if (weights.distance_exponent < 1) {
-    return Status::invalid_argument(
-        str_format("distance_exponent must be >= 1, got %d",
-                   weights.distance_exponent));
-  }
-  if (band < 1) {
-    return Status::invalid_argument(
-        str_format("band must be >= 1, got %d", band));
-  }
-  if (coarse_target < 1) {
-    return Status::invalid_argument(
-        str_format("coarse_target must be >= 1, got %d", coarse_target));
-  }
-  if (max_levels < 1) {
-    return Status::invalid_argument(
-        str_format("max_levels must be >= 1, got %d", max_levels));
-  }
-  if (max_passes < 1) {
-    return Status::invalid_argument(
-        str_format("max_passes must be >= 1, got %d", max_passes));
-  }
-  if (max_gates < 1) {
-    return Status::invalid_argument(
-        str_format("max_gates must be >= 1, got %d", max_gates));
-  }
-  if (halo < 0) {
-    return Status::invalid_argument(
-        str_format("halo must be >= 0, got %d", halo));
-  }
-  if (refine_style != "banded" && refine_style != "buckets") {
-    return Status::invalid_argument(
-        str_format("refine_style must be 'banded' or 'buckets', got '%s'",
-                   refine_style.c_str()));
+  for (const Knob& row : kKnobs) {
+    if (Status status = check_value(row, read_field(row.field, *this));
+        !status) {
+      return status;
+    }
   }
   return Status::ok();
 }
@@ -370,24 +428,17 @@ StatusOr<std::unique_ptr<PartitionEngine>> EngineRegistry::create(
 
 namespace engine_detail {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-OptionSpec make_spec(const char* name, OptionSpec::Type type,
-                     double default_value, double min_value, double max_value,
-                     const char* doc) {
-  OptionSpec spec;
-  spec.name = name;
-  spec.type = type;
-  spec.default_value = default_value;
-  spec.min_value = min_value;
-  spec.max_value = max_value;
-  spec.doc = doc;
-  return spec;
+std::vector<OptionSpec> option_specs(
+    std::initializer_list<std::string_view> names) {
+  std::vector<OptionSpec> specs;
+  for (const Knob& row : kKnobs) {
+    if (std::find(names.begin(), names.end(), row.name) != names.end()) {
+      specs.push_back(spec_of(row));
+    }
+  }
+  assert(specs.size() == names.size() && "an engine names an unknown knob");
+  return specs;
 }
-
-}  // namespace
 
 void apply_warm_overrides(const Netlist& netlist, const std::vector<int>* warm,
                           Partition& partition) {
@@ -400,108 +451,6 @@ void apply_warm_overrides(const Netlist& netlist, const std::vector<int>* warm,
       partition.plane_of[static_cast<std::size_t>(gate)] = label;
     }
   }
-}
-
-OptionSpec planes_spec() {
-  return make_spec("planes", OptionSpec::Type::kInt, 5, 2, 1024,
-                   "number of ground planes K");
-}
-
-OptionSpec seed_spec() {
-  return make_spec("seed", OptionSpec::Type::kInt, 1, 0, 9.007199254740992e15,
-                   "random seed; results are deterministic per seed");
-}
-
-OptionSpec restarts_spec() {
-  return make_spec("restarts", OptionSpec::Type::kInt, 3, 1, 4096,
-                   "independent random restarts; best discrete cost wins");
-}
-
-OptionSpec threads_spec() {
-  return make_spec("threads", OptionSpec::Type::kInt, 1, 0, 512,
-                   "worker threads (0 = hardware concurrency); never changes "
-                   "the result");
-}
-
-OptionSpec refine_spec() {
-  return make_spec("refine", OptionSpec::Type::kBool, 0, -kInf, kInf,
-                   "post-hardening greedy refinement (not part of the "
-                   "published algorithm)");
-}
-
-OptionSpec fast_math_spec() {
-  return make_spec("fast_math", OptionSpec::Type::kBool, 0, -kInf, kInf,
-                   "reassociated vector reductions in the gradient hot path; "
-                   "trades the bit-identity pin for speed within a tested "
-                   "tolerance (no-op on the scalar kernel tier)");
-}
-
-OptionSpec certify_spec() {
-  return make_spec("certify", OptionSpec::Type::kBool, kCertifyDefault ? 1 : 0,
-                   -kInf, kInf,
-                   "independently re-derive and check the result "
-                   "(core/certify.h); the run fails on any non-valid verdict");
-}
-
-OptionSpec band_spec() {
-  return make_spec("band", OptionSpec::Type::kInt, 1, 1, 1023,
-                   "plane radius of the banded uncoarsening refinement");
-}
-
-OptionSpec coarse_target_spec() {
-  return make_spec("coarse_target", OptionSpec::Type::kInt, 1024, 16, 1048576,
-                   "stop coarsening at this many vertices; the gradient "
-                   "descent runs on the coarsest level only");
-}
-
-OptionSpec max_levels_spec() {
-  return make_spec("max_levels", OptionSpec::Type::kInt, 64, 1, 128,
-                   "maximum coarsening levels");
-}
-
-OptionSpec max_passes_spec() {
-  return make_spec("max_passes", OptionSpec::Type::kInt, 8, 1, 4096,
-                   "maximum banded refinement passes per level");
-}
-
-OptionSpec max_gates_spec() {
-  return make_spec("max_gates", OptionSpec::Type::kInt, 20, 1, 64,
-                   "largest partitionable gate count the exhaustive search "
-                   "accepts (cost grows as K^G)");
-}
-
-OptionSpec refine_style_spec() {
-  OptionSpec spec;
-  spec.name = "refine_style";
-  spec.type = OptionSpec::Type::kString;
-  spec.default_text = "banded";
-  spec.enum_values = {"banded", "buckets"};
-  spec.doc =
-      "uncoarsening refinement flavor: 'banded' parallel propose/commit "
-      "sweeps or 'buckets' serial FM-style best-gain moves";
-  return spec;
-}
-
-OptionSpec halo_spec() {
-  return make_spec("halo", OptionSpec::Type::kInt, 2, 0, 64,
-                   "adjacency hops beyond the dirty region the restricted "
-                   "refinement may still move");
-}
-
-std::vector<OptionSpec> weight_specs() {
-  return {
-      make_spec("c1", OptionSpec::Type::kDouble, CostWeights{}.c1, -kInf, kInf,
-                "weight of the F1 locality term"),
-      make_spec("c2", OptionSpec::Type::kDouble, CostWeights{}.c2, -kInf, kInf,
-                "weight of the F2 bias-balance term"),
-      make_spec("c3", OptionSpec::Type::kDouble, CostWeights{}.c3, -kInf, kInf,
-                "weight of the F3 area-balance term"),
-      make_spec("c4", OptionSpec::Type::kDouble, CostWeights{}.c4, -kInf, kInf,
-                "weight of the F4 one-hot pressure term"),
-      make_spec("distance_exponent", OptionSpec::Type::kInt,
-                CostWeights{}.distance_exponent, 1, 12,
-                "plane-distance exponent of the F1 term"),
-  };
 }
 
 namespace {

@@ -53,12 +53,12 @@ class SolverObserver;
 }  // namespace obs
 
 // One engine knob, machine-readable: name, value type, default, inclusive
-// numeric range and a one-line doc. Engines advertise their knobs as a
-// list of these (PartitionEngine::describe_options); the sfqpartd daemon
+// numeric range and a one-line doc. Each is a row of the option table in
+// core/engine.cpp, which binds the name to its EngineContext field and
+// takes the default from EngineContext{}. Engines advertise their knobs as
+// a list of these (PartitionEngine::describe_options); the sfqpartd daemon
 // validates job options against them, and `sfqpart --list-engines --json`
-// serializes them for tooling. The names map onto EngineContext fields
-// ("planes", "seed", "restarts", "threads", "refine", "c1".."c4",
-// "distance_exponent"); apply_engine_options() below performs the mapping.
+// serializes them for tooling.
 struct OptionSpec {
   enum class Type { kBool, kInt, kDouble, kString };
 
@@ -84,11 +84,16 @@ struct OptionSpec {
 
 const char* option_type_name(OptionSpec::Type type);
 
+// Every EngineContext knob, in canonical order; each engine's
+// describe_options() is a subsequence of it.
+std::vector<OptionSpec> engine_option_table();
+
 // Validates `options` (a JSON object of name -> scalar) against `specs`
 // and applies the values onto `context`: unknown names, non-scalar or
 // type-mismatched values, non-finite numbers and out-of-range values all
-// fail with kInvalidArgument naming the offending option. Omitted options
-// keep the spec default. When `canonical` is non-null it receives the
+// fail with kInvalidArgument naming the offending option, in the words
+// EngineContext::validate() uses for the same value. Omitted options
+// take the spec default. When `canonical` is non-null it receives the
 // canonical form of the *effective* configuration — every spec in list
 // order with its resolved value, independent of option order, spelling or
 // whitespace in `options` — except "threads", which never changes results
@@ -117,11 +122,6 @@ struct EngineContext {
   // Post-hardening greedy improvement (gradient engine only; not part of
   // the published algorithm).
   bool refine = false;
-  // Reassociated vector reductions in the gradient hot path (gradient
-  // engine only; DESIGN.md section 15). Off keeps the bit-identity pin;
-  // on trades it for lane-parallel accumulation within a tested
-  // tolerance. No-op on the scalar kernel tier.
-  bool fast_math = false;
   // V-cycle shape knobs (vcycle engine only): banded-refinement plane
   // radius, coarsest-level size target, level cap, refinement pass cap.
   int band = 1;
@@ -174,10 +174,9 @@ struct EngineContext {
   // always carries the engine it was produced by.
   obs::SolverObserver* observer = nullptr;
 
-  // Uniform API-boundary validation, shared by the CLI and the adapters:
-  // one Status instead of six engine-dependent failure modes (asserts,
-  // hangs, silent nonsense) for out-of-range planes/threads/restarts or
-  // non-finite weights.
+  // Uniform API-boundary validation, run by every adapter: each knob's
+  // value passes the same check apply_engine_options() applies to a job
+  // option, so an out-of-range field fails with the same message.
   Status validate() const;
 };
 

@@ -13,6 +13,9 @@
 // Not part of the public surface; include core/engine.h instead.
 #pragma once
 
+#include <initializer_list>
+#include <string_view>
+
 #include "core/engine.h"
 #include "core/problem_view.h"
 
@@ -59,31 +62,10 @@ class EngineAdapter : public PartitionEngine {
 void apply_warm_overrides(const Netlist& netlist, const std::vector<int>* warm,
                           Partition& partition);
 
-// Shared OptionSpec builders for the EngineContext knobs, so the seven
-// adapters advertise identical specs for the knobs they have in common.
-OptionSpec planes_spec();
-OptionSpec seed_spec();
-OptionSpec restarts_spec();
-OptionSpec threads_spec();
-OptionSpec refine_spec();
-// fast_math kernel variants (gradient engine).
-OptionSpec fast_math_spec();
-// Independent result certification (core/certify.h); advertised by every
-// engine so the daemon accepts the knob uniformly.
-OptionSpec certify_spec();
-// V-cycle shape knobs (vcycle engine).
-OptionSpec band_spec();
-OptionSpec coarse_target_spec();
-OptionSpec max_levels_spec();
-OptionSpec max_passes_spec();
-// Instance-size cap of the exhaustive engine.
-OptionSpec max_gates_spec();
-// Uncoarsening refinement flavor of the vcycle engine ("banded"|"buckets").
-OptionSpec refine_style_spec();
-// Dirty-region halo radius of the eco engine.
-OptionSpec halo_spec();
-// c1..c4 and distance_exponent of the shared weighted objective.
-std::vector<OptionSpec> weight_specs();
+// The option table's specs for `names`, in table (canonical) order: what
+// each adapter's describe_options() returns.
+std::vector<OptionSpec> option_specs(
+    std::initializer_list<std::string_view> names);
 
 // Built-in engine factories (one adapter per file).
 std::unique_ptr<PartitionEngine> make_gradient_engine();

@@ -36,19 +36,6 @@ double dist_pow(double d, int p) {
   return result;
 }
 
-OptionSpec compare_scratch_spec() {
-  OptionSpec spec;
-  spec.name = "compare_scratch";
-  spec.type = OptionSpec::Type::kBool;
-  spec.default_value = 0;
-  spec.min_value = -std::numeric_limits<double>::infinity();
-  spec.max_value = std::numeric_limits<double>::infinity();
-  spec.doc =
-      "also run a scratch vcycle and report speedup_vs_scratch / "
-      "cost_drift_pct counters (costs a full cold solve)";
-  return spec;
-}
-
 class EcoAdapter final : public EngineAdapter {
  public:
   const char* name() const override { return "eco"; }
@@ -62,12 +49,9 @@ class EcoAdapter final : public EngineAdapter {
   bool self_observing() const override { return false; }
 
   std::vector<OptionSpec> describe_options() const override {
-    std::vector<OptionSpec> specs = {
-        planes_spec(),     seed_spec(),    restarts_spec(),
-        threads_spec(),    band_spec(),    max_passes_spec(),
-        halo_spec(),       compare_scratch_spec(), certify_spec()};
-    for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
-    return specs;
+    return option_specs({"planes", "seed", "restarts", "threads", "band",
+                         "max_passes", "halo", "compare_scratch", "certify",
+                         "c1", "c2", "c3", "c4", "distance_exponent"});
   }
 
  protected:

@@ -45,10 +45,8 @@ class ExactAdapter final : public EngineAdapter {
            "max_gates)";
   }
   std::vector<OptionSpec> describe_options() const override {
-    std::vector<OptionSpec> specs = {planes_spec(), max_gates_spec(),
-                                     certify_spec()};
-    for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
-    return specs;
+    return option_specs(
+        {"planes", "max_gates", "certify", "c1", "c2", "c3", "c4", "distance_exponent"});
   }
 
  protected:

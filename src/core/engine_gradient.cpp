@@ -20,12 +20,8 @@ class GradientAdapter final : public EngineAdapter {
            "(the paper's Algorithm 1)";
   }
   std::vector<OptionSpec> describe_options() const override {
-    std::vector<OptionSpec> specs = {planes_spec(),    seed_spec(),
-                                     restarts_spec(),  threads_spec(),
-                                     refine_spec(),    fast_math_spec(),
-                                     certify_spec()};
-    for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
-    return specs;
+    return option_specs({"planes", "seed", "restarts", "threads", "refine",
+                         "certify", "c1", "c2", "c3", "c4", "distance_exponent"});
   }
 
  protected:
@@ -40,7 +36,6 @@ class GradientAdapter final : public EngineAdapter {
     config.seed = context.seed;
     config.threads = context.threads;
     config.refine = context.refine;
-    config.fast_math = context.fast_math;
     config.weights = context.weights;
     config.observer = context.observer;
     config.fixed_labels = constraints.compact_or_null();

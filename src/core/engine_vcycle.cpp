@@ -56,13 +56,9 @@ class VcycleAdapter final : public EngineAdapter {
     // coarse_target, max_levels, max_passes): without them `--engine
     // vcycle` and the daemon's job validation could not reach them at
     // all.
-    std::vector<OptionSpec> specs = {
-        planes_spec(), seed_spec(),       restarts_spec(),
-        threads_spec(), band_spec(),      coarse_target_spec(),
-        max_levels_spec(), max_passes_spec(), refine_style_spec(),
-        certify_spec()};
-    for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
-    return specs;
+    return option_specs({"planes", "seed", "restarts", "threads", "band",
+                         "coarse_target", "max_levels", "max_passes",
+                         "refine_style", "certify", "c1", "c2", "c3", "c4", "distance_exponent"});
   }
 
  protected:
@@ -91,11 +87,8 @@ class MultilevelAdapter final : public EngineAdapter {
            "projected greedy refinement";
   }
   std::vector<OptionSpec> describe_options() const override {
-    std::vector<OptionSpec> specs = {planes_spec(), seed_spec(),
-                                     restarts_spec(), threads_spec(),
-                                     certify_spec()};
-    for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
-    return specs;
+    return option_specs(
+        {"planes", "seed", "restarts", "threads", "certify", "c1", "c2", "c3", "c4", "distance_exponent"});
   }
 
  protected:

@@ -1,28 +1,14 @@
 #include "core/kres_search.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <utility>
 
 #include "core/solver.h"
+#include "metrics/partition_metrics.h"
 #include "util/strings.h"
 
 namespace sfqpart {
-namespace {
-
-double max_plane_bias(const PartitionProblem& problem, const Partition& partition) {
-  std::vector<double> plane_bias(static_cast<std::size_t>(partition.num_planes), 0.0);
-  for (int i = 0; i < problem.num_gates; ++i) {
-    const GateId gate = problem.gate_ids[static_cast<std::size_t>(i)];
-    const int plane = partition.plane(gate);
-    assert(plane != kUnassignedPlane);
-    plane_bias[static_cast<std::size_t>(plane)] += problem.bias[static_cast<std::size_t>(i)];
-  }
-  return *std::max_element(plane_bias.begin(), plane_bias.end());
-}
-
-}  // namespace
 
 StatusOr<KresResult> find_min_planes(const Netlist& netlist,
                                      const KresOptions& options) {
@@ -49,7 +35,7 @@ StatusOr<KresResult> find_min_planes(const Netlist& netlist,
                                       attempt_result.status().message().c_str()));
     }
     SolverResult partition = *std::move(attempt_result);
-    const double bmax = max_plane_bias(problem, partition.partition);
+    const double bmax = compute_metrics(netlist, partition.partition).bmax_ma;
     if (bmax <= options.bias_limit_ma) {
       result.found = true;
       result.k_res = k;

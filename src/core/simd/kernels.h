@@ -6,7 +6,7 @@
 // dispatched through this table of per-ISA implementations (scalar,
 // AVX2, AVX-512), selected once at startup by core/simd/dispatch.h.
 //
-// Contract: every non-fast kernel is BIT-IDENTICAL to the scalar tier.
+// Contract: every kernel is BIT-IDENTICAL to the scalar tier.
 // The scalar tier is the exact code the pre-SIMD CostModel ran (moved
 // here verbatim, same compile flags), so golden labels and the
 // scatter-vs-gather A/B are pinned across tiers. Vector tiers keep the
@@ -24,14 +24,10 @@
 //    scalar tier has no FP contraction — one rounding per operator,
 //    exactly the C expression text. The vector tiers therefore use only
 //    discrete mul/add/sub/div intrinsics and compile with
-//    -ffp-contract=off (FMA intrinsics appear only in *_fast variants).
+//    -ffp-contract=off.
 //    The dispatch probe (dispatch.h) demotes any tier that fails to
 //    reproduce the scalar bits on this machine, so the guarantee holds
 //    even where a compiler contracts differently.
-//
-// edge_grad_fast is the opt-in reassociated variant behind the fast_math
-// engine option: lane-parallel F1 accumulation with a tree reduction,
-// tolerance-checked (not bit-pinned) by test.
 //
 // All W/grad pointers are padded rows, `stride` doubles apart (stride is
 // a multiple of util/matrix.h kRowAlignDoubles, so full-vector row loads
@@ -141,9 +137,6 @@ struct KernelTable {
   F1TermFn f1_term = nullptr;
   EdgeGradFn edge_grad = nullptr;
   FusedGateFn fused_gate = nullptr;
-  // Reassociated fast_math variant; null means "no fast variant, use the
-  // exact kernel" (the scalar tier has none).
-  EdgeGradFn edge_grad_fast = nullptr;
 };
 
 // Per-tier tables. The scalar table is always available; the vector

@@ -199,7 +199,6 @@ const KernelTable& scalar_kernels() {
     t.f1_term = detail::f1_term_scalar;
     t.edge_grad = detail::edge_grad_scalar;
     t.fused_gate = detail::fused_gate_scalar;
-    // No fast variants: reassociation only pays with vector lanes.
     return t;
   }();
   return table;

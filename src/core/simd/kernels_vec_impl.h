@@ -7,9 +7,8 @@
 //
 //  * The base build targets plain x86-64, which has no FMA instruction,
 //    so the scalar tier's arithmetic is exactly the C expression text —
-//    one rounding per operator, no contraction. The exact vector kernels
-//    therefore use discrete mul/add/sub/div intrinsics only; FMA-class
-//    intrinsics are banned outside the *_fast variants.
+//    one rounding per operator, no contraction. The vector kernels
+//    therefore use discrete mul/add/sub/div intrinsics only.
 //  * -ffp-contract=off on these TUs makes every scalar C expression here
 //    (block tails, horizontal chains, lane extraction sums) evaluate
 //    exactly like the base-flags scalar TU, so tails can be inlined and
@@ -246,11 +245,9 @@ struct VecKernels {
     return sum;
   }
 
-  template <bool kFast>
-  static double edge_grad_impl(const EdgeGradArgs& a, std::size_t begin,
-                               std::size_t end) {
+  static double edge_grad(const EdgeGradArgs& a, std::size_t begin,
+                          std::size_t end) {
     double sum = 0.0;
-    V sum_v = Ops::zero();  // kFast only: reassociated lane accumulator
     const V exp_v = Ops::set1(static_cast<double>(a.exponent));
     const V n1_v = Ops::set1(a.n1);
     alignas(64) double tbuf[kL];
@@ -281,14 +278,10 @@ struct VecKernels {
       V chain = Ops::set1(1.0);
       for (int t = 0; t < a.exponent - 1; ++t) chain = Ops::mul(chain, ad);
       const V term = Ops::mul(weight, Ops::mul(chain, ad));
-      if constexpr (kFast) {
-        sum_v = Ops::add(sum_v, term);
-      } else {
-        Ops::store(tbuf, term);
-        // Ordered extraction replays the scalar `sum += w * (chain * ad)`
-        // chain.
-        for (std::size_t j = 0; j < kL; ++j) sum += tbuf[j];
-      }
+      Ops::store(tbuf, term);
+      // Ordered extraction replays the scalar `sum += w * (chain * ad)`
+      // chain.
+      for (std::size_t j = 0; j < kL; ++j) sum += tbuf[j];
       const V magnitude =
           Ops::mul(weight, Ops::div(Ops::mul(exp_v, chain), n1_v));
       const V first =
@@ -309,11 +302,6 @@ struct VecKernels {
         }
       }
     }
-    if constexpr (kFast) {
-      alignas(64) double sbuf[kL];
-      Ops::store(sbuf, sum_v);
-      for (std::size_t j = 0; j < kL; ++j) sum += sbuf[j];
-    }
     for (; e < end; ++e) {
       const auto& [ga, gb] = a.edges[e];
       const double weight = static_cast<double>(a.weights[e]);
@@ -329,15 +317,6 @@ struct VecKernels {
       a.slot_grad[a.slot_of_second[e]] = -first;
     }
     return sum;
-  }
-
-  static double edge_grad(const EdgeGradArgs& a, std::size_t begin,
-                          std::size_t end) {
-    return edge_grad_impl<false>(a, begin, end);
-  }
-  static double edge_grad_fast(const EdgeGradArgs& a, std::size_t begin,
-                               std::size_t end) {
-    return edge_grad_impl<true>(a, begin, end);
   }
 
   // ---- fused gather / gradient fill / F4 -----------------------------
@@ -504,7 +483,6 @@ struct VecKernels {
     t.f1_term = f1_term;
     t.edge_grad = edge_grad;
     t.fused_gate = fused_gate;
-    t.edge_grad_fast = edge_grad_fast;
     return t;
   }
 };

@@ -117,7 +117,6 @@ StatusOr<LabelResult> Solver::solve(const PartitionProblem& problem) const {
 
   CostModel model(problem, config_.weights, config_.gradient_style);
   model.set_thread_pool(pool_.get());
-  model.set_fast_math(config_.fast_math);
 
   obs::TraceSink sink(config_.observer);
 

@@ -58,13 +58,6 @@ struct SolverConfig {
   OptimizerOptions optimizer;
   RefineOptions refine_options;
 
-  // Opt-in reassociated vector reductions in the gradient hot path
-  // (DESIGN.md section 15). Off (the default) keeps labels bit-identical
-  // to the scalar kernels; on allows lane-parallel accumulation on the
-  // vector tiers — a tolerance-bounded, not bit-pinned, result. No-op
-  // when dispatch selects the scalar tier.
-  bool fast_math = false;
-
   // Per-gate fixed planes (compact problem indices, -1 = free; not owned,
   // must outlive the run). Fixed gates start every restart as an exact
   // one-hot row, are re-clamped after hardening, and are skipped by the

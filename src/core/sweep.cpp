@@ -1,30 +1,14 @@
 #include "core/sweep.h"
 
-#include <algorithm>
 #include <limits>
 #include <memory>
 #include <utility>
 
-#include "core/partition.h"
+#include "metrics/partition_metrics.h"
 #include "util/strings.h"
 
 namespace sfqpart {
 namespace {
-
-// Max per-plane bias of a partition, over partitionable gates only
-// (matches metrics/partition_metrics.h and the kres search).
-double max_plane_bias(const Netlist& netlist, const Partition& partition) {
-  if (partition.num_planes <= 0) return 0.0;
-  std::vector<double> plane_bias(static_cast<std::size_t>(partition.num_planes),
-                                 0.0);
-  for (GateId id = 0; id < netlist.num_gates(); ++id) {
-    if (!netlist.is_partitionable(id)) continue;
-    const int plane = partition.plane(id);
-    if (plane == kUnassignedPlane) continue;
-    plane_bias[static_cast<std::size_t>(plane)] += netlist.bias_of(id);
-  }
-  return *std::max_element(plane_bias.begin(), plane_bias.end());
-}
 
 Status validate_axes(const std::vector<SweepAxis>& axes) {
   if (axes.empty()) {
@@ -182,7 +166,7 @@ StatusOr<SweepResult> run_sweep(const Netlist& netlist,
                                       run.status().message().c_str()));
     }
     point.run = *std::move(run);
-    point.bmax_ma = max_plane_bias(netlist, point.run.partition);
+    point.bmax_ma = compute_metrics(netlist, point.run.partition).bmax_ma;
     result.points.push_back(std::move(point));
 
     // Lexicographic advance, last axis fastest; wrapping the first axis

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/certify.h"
 #include "core/engine.h"
 #include "core/partition_io.h"
 #include "def/def_parser.h"
@@ -193,6 +192,10 @@ void Daemon::submit_line(const std::string& line, Respond respond) {
   const int budget = std::max(1, options_.threads_per_job);
   context.threads =
       context.threads == 0 ? budget : std::min(context.threads, budget);
+  // Server-side certification runs through the engine's own `certify`
+  // knob. Like the thread cap it is set after the canonical form was
+  // taken, so it never splits the cache.
+  context.certify = context.certify || options_.certify;
 
   std::string content;
   std::uint64_t netlist_hash = 0;
@@ -349,43 +352,24 @@ void Daemon::execute_job(JobRequest request, EngineContext context,
       engine_runs_.fetch_add(1);
       sink_.counter("engine_run", 1);
       auto run = (*engine)->run(*netlist, context);
+      // The adapter certified the run before it returned (a non-valid
+      // verdict fails the run); its counters freeze into the cached
+      // report, so warm hits replay a certified result unchecked.
+      if (report.counter("certified") == 1) {
+        jobs_certified_.fetch_add(1);
+        sink_.counter("job_certified", 1);
+      }
       if (!run) {
         fail_status = "error";
         fail_message = run.status().message();
       } else {
-        bool accept = true;
-        if (options_.certify) {
-          // Server-side certification, before serialization and cache
-          // insert: the counter freezes into the cached report, so warm
-          // hits replay a certified result without re-running the check.
-          CertifyExpectation expect;
-          expect.terms = run->discrete_terms;
-          expect.total = run->discrete_total;
-          auto compiled = compile_constraints(*netlist, context.constraints,
-                                              context.num_planes);
-          const CertifyReport cert = certify_partition(
-              *netlist, run->partition, context.num_planes, context.weights,
-              &expect, compiled ? &*compiled : nullptr);
-          jobs_certified_.fetch_add(1);
-          sink_.counter("job_certified", 1);
-          report.on_counter({"daemon_certified", 1});
-          if (!cert.valid()) {
-            accept = false;
-            fail_status = "error";
-            fail_message = "certification failed (" +
-                           std::string(certify_verdict_name(cert.verdict)) +
-                           "): " + cert.message;
-          }
-        }
-        if (accept) {
-          const PartitionMetrics metrics =
-              compute_metrics(*netlist, run->partition);
-          report.set_circuit(netlist->name(), metrics.num_gates,
-                             metrics.num_connections);
-          report.set_metrics(metrics);
-          report_str = report.to_json().dump(0);
-          cache_.insert(key, report_str);
-        }
+        const PartitionMetrics metrics =
+            compute_metrics(*netlist, run->partition);
+        report.set_circuit(netlist->name(), metrics.num_gates,
+                           metrics.num_connections);
+        report.set_metrics(metrics);
+        report_str = report.to_json().dump(0);
+        cache_.insert(key, report_str);
       }
     }
   }

@@ -63,12 +63,13 @@ struct DaemonOptions {
   // Result cache entry budget and shard count.
   std::size_t cache_capacity = 256;
   std::size_t cache_shards = 8;
-  // Server-side certification (core/certify.h): every executed job's
-  // result is independently re-derived and checked *before* the report is
-  // serialized and cached, so a cache hit replays an already-certified
-  // report (the "daemon_certified" counter is frozen into it) and a bad
-  // result is answered as an error instead of being cached. Certifying
-  // once at insert instead of on every hit keeps warm repeats O(1).
+  // Server-side certification (core/certify.h): turns on every job's
+  // `certify` knob, so the engine adapter re-derives and checks the
+  // result *before* the report is serialized and cached. A cache hit
+  // replays an already-certified report (its "certified" and
+  // "certify_verdict" counters are frozen into it) and a bad result is
+  // answered as an error instead of being cached. Certifying once at
+  // insert instead of on every hit keeps warm repeats O(1).
   bool certify = true;
   // Receives daemon counters as CounterEvents: "cache_hit", "cache_miss",
   // "cache_evict", "job_accepted", "job_rejected", "job_invalid",

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -478,6 +479,10 @@ struct ReportPin {
   const char* name;
   std::uint64_t hash;
 };
+
+// Without it gtest prints the raw bytes, name pointer included, so every
+// load address would give the test another ctest name.
+void PrintTo(const ReportPin& pin, std::ostream* os) { *os << pin.name; }
 
 std::uint64_t report_hash(const CertifyReport& report) {
   Fnv1a64 hash;

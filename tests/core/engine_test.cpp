@@ -10,11 +10,17 @@
 // pre-refactor labels bit for bit — if one of these tests fails, an
 // adapter silently changed an engine's option threading or seeding.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,6 +188,199 @@ TEST(EngineContext, ValidateRejectsOutOfRangeKnobsUniformly) {
   EXPECT_TRUE(exponent.validate().is_invalid_argument());
 
   EXPECT_TRUE(EngineContext{}.validate().is_ok());
+}
+
+// Each knob's field, written out independently of the option table the
+// tests below check.
+using FieldPtr =
+    std::variant<int*, std::uint64_t*, bool*, double*, std::string*>;
+
+std::optional<FieldPtr> field_of(EngineContext& c, const std::string& name) {
+  if (name == "planes") return &c.num_planes;
+  if (name == "seed") return &c.seed;
+  if (name == "restarts") return &c.restarts;
+  if (name == "threads") return &c.threads;
+  if (name == "refine") return &c.refine;
+  if (name == "band") return &c.band;
+  if (name == "coarse_target") return &c.coarse_target;
+  if (name == "max_levels") return &c.max_levels;
+  if (name == "max_passes") return &c.max_passes;
+  if (name == "refine_style") return &c.refine_style;
+  if (name == "halo") return &c.halo;
+  if (name == "compare_scratch") return &c.compare_scratch;
+  if (name == "max_gates") return &c.max_gates;
+  if (name == "certify") return &c.certify;
+  if (name == "c1") return &c.weights.c1;
+  if (name == "c2") return &c.weights.c2;
+  if (name == "c3") return &c.weights.c3;
+  if (name == "c4") return &c.weights.c4;
+  if (name == "distance_exponent") return &c.weights.distance_exponent;
+  return std::nullopt;
+}
+
+// The field's value as a job option carries it.
+Json field_value(const FieldPtr& field) {
+  return std::visit(
+      [](auto* value) {
+        using T = std::remove_pointer_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, bool>) return Json::boolean(*value);
+        else if constexpr (std::is_same_v<T, std::string>) return Json::string(*value);
+        else return Json::number(static_cast<double>(*value));
+      },
+      field);
+}
+
+void set_field(const FieldPtr& field, const Json& value) {
+  std::visit(
+      [&](auto* target) {
+        using T = std::remove_pointer_t<decltype(target)>;
+        if constexpr (std::is_same_v<T, bool>) *target = value.as_bool();
+        else if constexpr (std::is_same_v<T, std::string>) *target = value.as_string();
+        else *target = static_cast<T>(value.as_number());
+      },
+      field);
+}
+
+// One row of the option table: its default is EngineContext{}'s field, and
+// a value gets the same verdict and message as a job option (through
+// apply_engine_options) and as a field set directly (through validate()).
+TEST(EngineOptions, EveryTableRowChecksOptionsAndFieldsAlike) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<OptionSpec> table = engine_option_table();
+  ASSERT_EQ(table.size(), 19u);
+  for (const OptionSpec& spec : table) {
+    SCOPED_TRACE(spec.name);
+    EngineContext defaults;
+    const std::optional<FieldPtr> default_field = field_of(defaults, spec.name);
+    ASSERT_TRUE(default_field.has_value());
+    EXPECT_EQ(spec.to_json().find("default")->dump(0),
+              field_value(*default_field).dump(0));
+
+    std::vector<Json> good;
+    std::vector<Json> bad;
+    switch (spec.type) {
+      case OptionSpec::Type::kBool:
+        good = {Json::boolean(false), Json::boolean(true)};
+        break;
+      case OptionSpec::Type::kString:
+        for (const std::string& value : spec.enum_values) {
+          good.push_back(Json::string(value));
+        }
+        bad = {Json::string("nonsense")};
+        break;
+      case OptionSpec::Type::kDouble:
+        good = {Json::number(-1.5), Json::number(0.0), Json::number(1e300)};
+        bad = {Json::number(kInf), Json::number(-kInf),
+               Json::number(std::numeric_limits<double>::quiet_NaN())};
+        break;
+      case OptionSpec::Type::kInt: {
+        good = {Json::number(spec.min_value), Json::number(spec.max_value)};
+        // The seed field is unsigned and cannot hold min - 1.
+        if (spec.min_value > 0 || spec.name != "seed") {
+          bad.push_back(Json::number(spec.min_value - 1));
+        }
+        // Past 2^53, max + 1 rounds back to max.
+        double above = spec.max_value + 1;
+        if (above == spec.max_value) above = std::nextafter(above, kInf);
+        bad.push_back(Json::number(above));
+        break;
+      }
+    }
+
+    for (const Json& value : good) {
+      SCOPED_TRACE(value.dump(0));
+      EngineContext through_option;
+      EXPECT_TRUE(apply_engine_options(
+          {spec}, Json::object().set(spec.name, value), through_option));
+      EXPECT_EQ(field_value(*field_of(through_option, spec.name)).dump(0),
+                value.dump(0));
+      EngineContext through_field;
+      set_field(*field_of(through_field, spec.name), value);
+      EXPECT_TRUE(through_field.validate());
+    }
+    for (const Json& value : bad) {
+      SCOPED_TRACE(value.is_number() ? std::to_string(value.as_number())
+                                     : value.dump(0));
+      EngineContext through_option;
+      const Status option_status = apply_engine_options(
+          {spec}, Json::object().set(spec.name, value), through_option);
+      EXPECT_TRUE(option_status.is_invalid_argument());
+      EngineContext through_field;
+      set_field(*field_of(through_field, spec.name), value);
+      const Status field_status = through_field.validate();
+      EXPECT_TRUE(field_status.is_invalid_argument());
+      EXPECT_EQ(option_status.message(), field_status.message());
+    }
+  }
+}
+
+// The canonical forms (the daemon's cache keys) of every engine's
+// defaults and of one object that sets each knob the engine advertises,
+// as sfqpartd keyed them before the option table existed.
+TEST(EngineOptions, CanonicalFormsArePinned) {
+  const std::string weights =
+      "c1=1;c2=0.34999999999999998;c3=0.34999999999999998;c4=1;"
+      "distance_exponent=4;";
+  const std::string set_weights =
+      "c1=1.25;c2=0.59999999999999998;c3=0.59999999999999998;c4=1.25;"
+      "distance_exponent=5;";
+  // Engine -> {defaults (certify=0 where it defaults off), `set` below}.
+  const std::map<std::string, std::pair<std::string, std::string>> pins = {
+      {"annealing",
+       {"planes=5;seed=1;certify=0;" + weights,
+        "planes=6;seed=2;certify=1;" + set_weights}},
+      {"eco",
+       {"planes=5;seed=1;restarts=3;band=1;max_passes=8;halo=2;"
+        "compare_scratch=0;certify=0;" + weights,
+        "planes=6;seed=2;restarts=4;band=2;max_passes=9;halo=3;"
+        "compare_scratch=1;certify=1;" + set_weights}},
+      {"exact",
+       {"planes=5;max_gates=20;certify=0;" + weights,
+        "planes=6;max_gates=21;certify=1;" + set_weights}},
+      {"fm_kway", {"planes=5;seed=1;certify=0;", "planes=6;seed=2;certify=1;"}},
+      {"gradient",
+       {"planes=5;seed=1;restarts=3;refine=0;certify=0;" + weights,
+        "planes=6;seed=2;restarts=4;refine=1;certify=1;" + set_weights}},
+      {"layered", {"planes=5;certify=0;", "planes=6;certify=1;"}},
+      {"multilevel",
+       {"planes=5;seed=1;restarts=3;certify=0;" + weights,
+        "planes=6;seed=2;restarts=4;certify=1;" + set_weights}},
+      {"random", {"planes=5;seed=1;certify=0;", "planes=6;seed=2;certify=1;"}},
+      {"vcycle",
+       {"planes=5;seed=1;restarts=3;band=1;coarse_target=1024;"
+        "max_levels=64;max_passes=8;refine_style=banded;certify=0;" + weights,
+        "planes=6;seed=2;restarts=4;band=2;coarse_target=1025;"
+        "max_levels=65;max_passes=9;refine_style=buckets;certify=1;" +
+            set_weights}},
+  };
+  const auto set = Json::parse(
+      R"({"planes": 6, "seed": 2, "restarts": 4, "threads": 2, "refine": true,
+          "band": 2, "coarse_target": 1025, "max_levels": 65, "max_passes": 9,
+          "refine_style": "buckets", "halo": 3, "compare_scratch": true,
+          "max_gates": 21, "certify": true, "c1": 1.25, "c2": 0.6, "c3": 0.6,
+          "c4": 1.25, "distance_exponent": 5})");
+  ASSERT_TRUE(set.is_ok());
+  ASSERT_EQ(set->size(), engine_option_table().size());
+  ASSERT_EQ(EngineRegistry::names(), kBuiltins);
+  for (const std::string& name : kBuiltins) {
+    SCOPED_TRACE(name);
+    const auto engine = EngineRegistry::create(name);
+    ASSERT_TRUE(engine.is_ok());
+    const std::vector<OptionSpec> specs = (*engine)->describe_options();
+    std::string defaults = pins.at(name).first;
+    if (kCertifyDefault) {
+      defaults.replace(defaults.find("certify=0;"), 10, "certify=1;");
+    }
+    EngineContext context;
+    std::string canonical;
+    ASSERT_TRUE(apply_engine_options(specs, Json::object(), context, &canonical));
+    EXPECT_EQ(canonical, defaults);
+
+    Json options = Json::object();
+    for (const OptionSpec& spec : specs) options.set(spec.name, *set->find(spec.name));
+    ASSERT_TRUE(apply_engine_options(specs, options, context, &canonical));
+    EXPECT_EQ(canonical, pins.at(name).second);
+  }
 }
 
 // Every engine rejects a bad context with the same uniform Status — no

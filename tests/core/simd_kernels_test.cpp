@@ -4,8 +4,7 @@
 // to the scalar tier — per kernel (the dispatch probe's synthetic shapes,
 // covering vector-block tails, partial plane groups and CSR tails) and
 // end-to-end (whole gradient-descent solves compared label-for-label and
-// bit-for-bit on every cost term). fast_math is the opt-in exception and
-// is bounded by an explicit relative-error tolerance instead.
+// bit-for-bit on every cost term).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -212,63 +211,6 @@ TEST_F(SimdDispatchTest, GradientPaddingStaysZero) {
       for (std::size_t c = grad.cols(); c < grad.stride(); ++c) {
         ASSERT_EQ(flat[r * grad.stride() + c], 0.0)
             << simd::tier_name(tier) << " row " << r << " lane " << c;
-      }
-    }
-  }
-}
-
-// fast_math A/B: reassociated reductions must stay within an explicit
-// relative-error bound of the exact kernels — and must change nothing at
-// all on tiers without fast variants (scalar).
-TEST_F(SimdDispatchTest, FastMathStaysWithinTolerance) {
-  const Netlist netlist = build_mapped("ksa8");
-  const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 5);
-
-  CostModel exact(problem, CostWeights{});
-  CostModel fast(problem, CostWeights{});
-  fast.set_fast_math(true);
-  EXPECT_TRUE(fast.fast_math());
-
-  // The reassociation only changes the order of ~degree/~lane-count long
-  // sums of O(1) doubles; 1e-12 relative slack is orders of magnitude
-  // above the worst case while still catching any real kernel bug.
-  constexpr double kRelTol = 1e-12;
-  const auto rel_close = [](double a, double b) {
-    const double scale = std::max({std::abs(a), std::abs(b), 1e-30});
-    return std::abs(a - b) / scale <= kRelTol;
-  };
-
-  for (const Tier tier : available_tiers()) {
-    simd::force_tier_for_testing(tier);
-    Rng rng(23);
-    const Matrix w = random_soft_assignment(problem.num_gates,
-                                            problem.num_planes, rng);
-    Matrix grad_exact, grad_fast;
-    CostModel::Workspace ws_a, ws_b;
-    const CostTerms te = exact.evaluate_with_gradient(w, grad_exact, ws_a);
-    const CostTerms tf = fast.evaluate_with_gradient(w, grad_fast, ws_b);
-
-    const bool has_fast_variants =
-        simd::kernels().edge_grad_fast != nullptr;
-    if (!has_fast_variants) {
-      // No fast kernels on this tier: fast_math must be a strict no-op.
-      EXPECT_EQ(te.f1, tf.f1) << simd::tier_name(tier);
-      EXPECT_EQ(grad_exact, grad_fast);
-      continue;
-    }
-    EXPECT_TRUE(rel_close(te.f1, tf.f1))
-        << simd::tier_name(tier) << " f1 " << te.f1 << " vs " << tf.f1;
-    EXPECT_EQ(te.f2, tf.f2);  // F2/F3 never reassociate
-    EXPECT_EQ(te.f3, tf.f3);
-    EXPECT_TRUE(rel_close(te.f4, tf.f4))
-        << simd::tier_name(tier) << " f4 " << te.f4 << " vs " << tf.f4;
-    ASSERT_EQ(grad_exact.rows(), grad_fast.rows());
-    for (std::size_t i = 0; i < grad_exact.rows(); ++i) {
-      const auto re = grad_exact.row(i);
-      const auto rf = grad_fast.row(i);
-      for (std::size_t kk = 0; kk < grad_exact.cols(); ++kk) {
-        ASSERT_TRUE(rel_close(re[kk], rf[kk]))
-            << simd::tier_name(tier) << " gate " << i << " plane " << kk;
       }
     }
   }

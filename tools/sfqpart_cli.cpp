@@ -276,26 +276,35 @@ Status parse_constraint_flags(const OptionsParser& options,
   return Status::ok();
 }
 
-// Runs the engine selected by --engine with the uniform EngineContext; all
-// flag validation (planes/restarts/threads) happens once inside the
-// engine's run() and comes back as a Status.
+// The engine flags as one options object, checked against the option
+// table like a daemon job's options. --certify forces certification on;
+// without it the build-type default stands (on in debug builds).
+Json engine_flags(const OptionsParser& options) {
+  Json flags = Json::object();
+  for (const char* name : {"planes", "seed", "restarts", "threads", "halo"}) {
+    flags.set(name, Json::number(options.get_int(name)));
+  }
+  flags.set("refine", Json::boolean(options.get_flag("refine")));
+  flags.set("compare_scratch",
+            Json::boolean(options.get_flag("compare-scratch")));
+  flags.set("refine_style", Json::string(options.get_string("refine-style")));
+  if (options.get_flag("certify")) flags.set("certify", Json::boolean(true));
+  return flags;
+}
+
+// Runs the engine selected by --engine. Every engine flag is range-checked
+// against the whole option table, whatever the engine reads.
 StatusOr<EngineRun> run_engine(const Netlist& netlist, const OptionsParser& options,
                                obs::SolverObserver* observer = nullptr) {
   auto engine = EngineRegistry::create(options.get_string("engine"));
   if (!engine) return engine.status();
 
   EngineContext context;
-  context.num_planes = static_cast<int>(options.get_int("planes"));
-  context.seed = static_cast<std::uint64_t>(options.get_int("seed"));
-  context.restarts = static_cast<int>(options.get_int("restarts"));
-  context.threads = static_cast<int>(options.get_int("threads"));
-  context.refine = options.get_flag("refine");
-  context.refine_style = options.get_string("refine-style");
-  context.halo = static_cast<int>(options.get_int("halo"));
-  context.compare_scratch = options.get_flag("compare-scratch");
-  // --certify forces certification on; without the flag the context keeps
-  // its build-type default (on in debug builds).
-  if (options.get_flag("certify")) context.certify = true;
+  if (Status st = apply_engine_options(engine_option_table(),
+                                       engine_flags(options), context);
+      !st) {
+    return st;
+  }
   if (Status st = parse_constraint_flags(options, context.constraints); !st) {
     return st;
   }
@@ -549,10 +558,10 @@ Status parse_sweep_axes(const std::string& spec, std::vector<SweepAxis>& out) {
   return Status::ok();
 }
 
-// The engine flags run_engine maps onto EngineContext, as the sweep's
-// base options: only the names the engine advertises, since every point
-// validates its options against that list. The per-gate flags have no
-// per-point form, so they are rejected rather than ignored.
+// The engine flags as the sweep's base options: only the names the engine
+// advertises, since every point validates its options against that list.
+// The per-gate flags have no per-point form, so they are rejected rather
+// than ignored.
 StatusOr<Json> sweep_base_options(const OptionsParser& options) {
   for (const char* flag : {"pin", "group", "warm-start"}) {
     if (!options.get_string(flag).empty()) {
@@ -563,16 +572,7 @@ StatusOr<Json> sweep_base_options(const OptionsParser& options) {
   }
   auto engine = EngineRegistry::create(options.get_string("engine"));
   if (!engine) return engine.status();
-  Json flags = Json::object();
-  for (const char* name : {"planes", "seed", "restarts", "threads", "halo"}) {
-    flags.set(name, Json::number(options.get_int(name)));
-  }
-  flags.set("refine", Json::boolean(options.get_flag("refine")));
-  flags.set("compare_scratch",
-            Json::boolean(options.get_flag("compare-scratch")));
-  flags.set("refine_style", Json::string(options.get_string("refine-style")));
-  // As in run_engine: without --certify the build-type default stands.
-  if (options.get_flag("certify")) flags.set("certify", Json::boolean(true));
+  const Json flags = engine_flags(options);
   Json base = Json::object();
   for (const OptionSpec& spec : (*engine)->describe_options()) {
     if (const Json* value = flags.find(spec.name); value != nullptr) {
