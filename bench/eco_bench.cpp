@@ -4,21 +4,23 @@
 //
 // Protocol (core/delta.h): build a scaled netlist, partition it cold
 // with the vcycle engine, mutate ~1% of the gates (gen/mutate.h), build
-// the warm start from the parent partition, and run engine "eco" with
-// compare_scratch so the engine itself times the scratch re-solve it is
-// replacing. The run fails (exit 1) unless the eco result certifies and
-// meets the --min-speedup / --max-drift-pct bars, which is what the CI
-// eco-smoke job leans on.
+// the warm start from the parent partition, and run engine "eco"; then
+// run the registry's "vcycle" on the same revised netlist with the same
+// context and no warm start, the scratch re-solve the ECO replaces. The
+// run fails (exit 1) unless the eco result certifies and meets the
+// --min-speedup / --max-drift-pct bars, which is what the CI eco-smoke
+// job leans on.
 //
-// `speedup_vs_scratch` (and the bars) divide by the engine's inner
-// `eco_ms`: placement plus restricted refinement only. What a caller
-// pays end to end is reported beside it: `diff_ms` (compute_delta),
-// `warm_start_ms` (warm_start_from) and `repartition_ms`, one separately
-// timed repartition() call without compare_scratch — diff, warm start,
-// problem build and engine — whose labels must equal the compare run's;
-// `speedup_vs_scratch_e2e` = scratch_ms / repartition_ms. `certify_ms`
-// times the certification of the eco result, which repartition() does
-// not include.
+// `eco_ms` and `scratch_ms` are the two runs' `wall_ms`: the view build
+// plus the engine's solve. `speedup_vs_scratch` (and the bars) divide
+// one by the other, and `cost_drift_pct` compares their discrete
+// totals. What a caller pays end to end is reported beside it: `diff_ms`
+// (compute_delta), `warm_start_ms` (warm_start_from) and
+// `repartition_ms`, one separately timed repartition() call — diff, warm
+// start, problem build and engine — whose labels must equal the eco
+// run's; `speedup_vs_scratch_e2e` = scratch_ms / repartition_ms.
+// `certify_ms` times the certification of the eco result, which
+// repartition() does not include.
 //
 // Each of the three front-end timings runs on a freshly mutated `after`
 // (the same seed, so the same netlist, with its memoized edge set not
@@ -94,12 +96,28 @@ int run(int argc, char** argv) {
   const bool smoke = parser.get_flag("smoke");
   const int num_gates =
       smoke ? 100000 : static_cast<int>(parser.get_int("gates"));
-  const int num_planes = static_cast<int>(parser.get_int("planes"));
-  const int threads = static_cast<int>(parser.get_int("threads"));
-  const std::uint64_t seed = parser.get_int("seed") < 1
-                                 ? 1
-                                 : static_cast<std::uint64_t>(
-                                       parser.get_int("seed"));
+
+  auto engine = EngineRegistry::create("eco");
+  auto scratch_engine = EngineRegistry::create("vcycle");
+  if (!engine || !scratch_engine) {
+    std::fprintf(stderr, "eco_bench: the eco and vcycle engines are not "
+                         "registered\n");
+    return 1;
+  }
+  // The engine flags, checked against the eco engine's option rows.
+  EngineContext context;
+  Json flags = Json::object();
+  for (const char* name : {"planes", "seed", "threads", "halo"}) {
+    flags.set(name, Json::number(parser.get_int(name)));
+  }
+  if (Status st = apply_engine_options((*engine)->describe_options(), flags,
+                                       context);
+      !st) {
+    std::fprintf(stderr, "eco_bench: %s\n", st.message().c_str());
+    return 2;
+  }
+  const int num_planes = context.num_planes;
+  const std::uint64_t seed = context.seed;
 
   ScaledParams gen;
   gen.name = "eco" + std::to_string(num_gates);
@@ -113,7 +131,7 @@ int run(int argc, char** argv) {
   // Parent solve: the partition the ECO inherits.
   VcycleOptions parent_options;
   parent_options.seed = seed;
-  parent_options.threads = threads;
+  parent_options.threads = context.threads;
   VcycleResult parent;
   const double parent_ms = time_ms(
       [&] { parent = vcycle_partition(before, num_planes, parent_options); });
@@ -143,33 +161,28 @@ int run(int argc, char** argv) {
   const double warm_start_ms = time_ms(
       [&] { warm = warm_start_from(parent.partition, before, after); });
 
-  auto engine = EngineRegistry::create("eco");
-  if (!engine) {
-    std::fprintf(stderr, "eco_bench: %s\n", engine.status().message().c_str());
-    return 1;
-  }
-  EngineContext context;
-  context.num_planes = num_planes;
-  context.seed = seed;
-  context.threads = threads;
-  context.halo = static_cast<int>(parser.get_int("halo"));
-  context.compare_scratch = true;
   context.warm_start = &warm;
   auto eco = (*engine)->run(after, context);
   if (!eco) {
     std::fprintf(stderr, "eco_bench: %s\n", eco.status().message().c_str());
     return 1;
   }
+  EngineContext scratch_context = context;
+  scratch_context.warm_start = nullptr;
+  auto scratch = (*scratch_engine)->run(after, scratch_context);
+  if (!scratch) {
+    std::fprintf(stderr, "eco_bench: %s\n",
+                 scratch.status().message().c_str());
+    return 1;
+  }
 
   // The same ECO as one public call, timed end to end.
-  EngineContext e2e_context = context;
-  e2e_context.compare_scratch = false;
   StatusOr<EngineRun> e2e = Status::error("not run");
   double repartition_ms = 0.0;
   {
     const Netlist revised = revision();
     repartition_ms = time_ms([&] {
-      e2e = repartition(before, parent.partition, revised, e2e_context);
+      e2e = repartition(before, parent.partition, revised, context);
     });
   }
   if (!e2e) {
@@ -195,10 +208,14 @@ int run(int argc, char** argv) {
   });
   const bool certified = cert.valid();
 
-  const double eco_ms = eco->counter("eco_ms");
-  const double scratch_ms = eco->counter("scratch_ms");
-  const double speedup = eco->counter("speedup_vs_scratch");
-  const double drift_pct = eco->counter("cost_drift_pct");
+  const double eco_ms = eco->wall_ms;
+  const double scratch_ms = scratch->wall_ms;
+  const double speedup = eco_ms > 0.0 ? scratch_ms / eco_ms : 0.0;
+  const double drift_pct =
+      scratch->discrete_total != 0.0
+          ? (eco->discrete_total - scratch->discrete_total) /
+                scratch->discrete_total * 100.0
+          : 0.0;
   const double speedup_e2e =
       repartition_ms > 0.0 ? scratch_ms / repartition_ms : 0.0;
   std::printf("[eco] %.0f ms vs scratch %.0f ms: %.1fx, drift %+.3f%%, "

@@ -29,9 +29,16 @@ int main(int argc, char** argv) {
   }
   const Netlist netlist = build_mapped(*entry);
 
+  // The flags are checked against the option table, like a CLI run's.
   EngineContext context;
-  context.num_planes = static_cast<int>(options.get_int("planes"));
-  context.seed = static_cast<std::uint64_t>(options.get_int("seed"));
+  const Json flags = Json::object()
+                         .set("planes", Json::number(options.get_int("planes")))
+                         .set("seed", Json::number(options.get_int("seed")));
+  if (auto status = apply_engine_options(engine_option_table(), flags, context);
+      !status) {
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    return 1;
+  }
 
   TablePrinter table({"engine", "d<=1", "d<=2", "cut", "I_comp", "A_FS",
                       "cost", "ms"});

@@ -1,62 +1,87 @@
-#include "baseline/layered_partition.h"
-
+// "layered" engine: topological slicing into K equal-bias bands.
+//
+// SFQ circuits are gate-level pipelines, so slicing the topological order
+// into K contiguous chunks of equal bias current keeps most connections
+// within or between adjacent chunks. This is the "obvious" constructive
+// heuristic a designer would try before the paper's optimizer; the benches
+// compare both. Deterministic and seedless; the adapter narrates the run
+// lifecycle, since the heuristic emits no events of its own.
 #include <algorithm>
-#include <cassert>
+#include <memory>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/engine_adapter.h"
 #include "sfq/balance.h"
 
-namespace sfqpart {
+namespace sfqpart::engine_detail {
 
-Partition layered_partition(const Netlist& netlist, int num_planes,
-                            const LayeredOptions& options) {
-  assert(num_planes >= 1);
+namespace {
 
-  // Order gates by pipeline stage so each chunk is a band of consecutive
-  // stages; ties break by gate id for determinism.
-  const std::vector<int> depth = stage_depths(netlist);
-  std::vector<GateId> gates;
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    if (netlist.is_partitionable(g)) gates.push_back(g);
+class LayeredAdapter final : public EngineAdapter {
+ public:
+  const char* name() const override { return "layered"; }
+  const char* description() const override {
+    return "topological order sliced into K contiguous equal-bias bands "
+           "(deterministic and seedless)";
   }
-  std::stable_sort(gates.begin(), gates.end(), [&](GateId a, GateId b) {
-    return depth[static_cast<std::size_t>(a)] < depth[static_cast<std::size_t>(b)];
-  });
+  std::vector<OptionSpec> describe_options() const override {
+    return option_specs({"planes", "certify"});
+  }
 
-  auto weight = [&](GateId g) {
-    return options.balance_bias ? netlist.bias_of(g) : netlist.area_of(g);
-  };
-  double total = 0.0;
-  for (const GateId g : gates) total += weight(g);
+ protected:
+  bool self_observing() const override { return false; }
 
-  Partition partition;
-  partition.num_planes = num_planes;
-  partition.plane_of.assign(static_cast<std::size_t>(netlist.num_gates()),
-                            kUnassignedPlane);
+  StatusOr<Partition> solve(
+      const Netlist& netlist, const ProblemView& view,
+      const EngineContext& context, const CompiledConstraints& constraints,
+      const std::vector<int>* warm,
+      std::vector<std::pair<std::string, double>>& /*counters*/) const override {
+    const PartitionProblem& problem = view.problem();
+    const int num_planes = context.num_planes;
 
-  // Equal-weight cumulative thresholds: gate midpoints falling past
-  // total*(p+1)/K advance to the next plane.
-  int plane = 0;
-  double cum = 0.0;
-  for (const GateId g : gates) {
-    const double w = weight(g);
-    while (plane < num_planes - 1 &&
-           cum + w / 2.0 > total * (plane + 1) / num_planes) {
-      ++plane;
+    // Order gates by pipeline stage so each chunk is a band of consecutive
+    // stages; ties keep compact (= gate id) order for determinism.
+    const std::vector<int> depth = stage_depths(netlist);
+    const auto depth_of = [&](int i) {
+      return depth[static_cast<std::size_t>(
+          problem.gate_ids[static_cast<std::size_t>(i)])];
+    };
+    std::vector<int> order(static_cast<std::size_t>(problem.num_gates));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int a, int b) { return depth_of(a) < depth_of(b); });
+
+    double total = 0.0;
+    for (const int i : order) total += problem.bias[static_cast<std::size_t>(i)];
+
+    // Equal-bias cumulative thresholds: gate midpoints falling past
+    // total*(p+1)/K advance to the next plane.
+    std::vector<int> labels(order.size());
+    int plane = 0;
+    double cum = 0.0;
+    for (const int i : order) {
+      const double bias = problem.bias[static_cast<std::size_t>(i)];
+      while (plane < num_planes - 1 &&
+             cum + bias / 2.0 > total * (plane + 1) / num_planes) {
+        ++plane;
+      }
+      labels[static_cast<std::size_t>(i)] = plane;
+      cum += bias;
     }
-    partition.plane_of[static_cast<std::size_t>(g)] = plane;
-    cum += w;
+    // No search to seed: the warm labels and pins replace the bands where
+    // assigned, and the bands around them stay as sliced.
+    overlay_warm_and_pins(labels, warm, constraints);
+    return problem.to_partition(labels, netlist.num_gates());
   }
-  if (options.fixed_of_gate != nullptr) {
-    // Pins override the band slicing; bands around them stay untouched so
-    // the deterministic order of the free gates is preserved.
-    const std::vector<int>& fixed = *options.fixed_of_gate;
-    for (const GateId g : gates) {
-      const int p = fixed[static_cast<std::size_t>(g)];
-      if (p >= 0) partition.plane_of[static_cast<std::size_t>(g)] = p;
-    }
-  }
-  return partition;
+};
+
+}  // namespace
+
+std::unique_ptr<PartitionEngine> make_layered_engine() {
+  return std::make_unique<LayeredAdapter>();
 }
 
-}  // namespace sfqpart
+}  // namespace sfqpart::engine_detail

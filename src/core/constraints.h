@@ -39,7 +39,7 @@ struct GateConstraints {
 // Constraints resolved against one netlist: the only form the engines
 // consume. Gates not mentioned by any constraint are free (-1). When
 // nothing is declared both arrays are empty, so read them only after
-// checking empty() (or through the *_or_null accessors).
+// checking empty() (or through compact_or_null()).
 struct CompiledConstraints {
   // Indexed by netlist GateId; -1 = free, else the required plane.
   std::vector<int> fixed_of_gate;
@@ -54,10 +54,6 @@ struct CompiledConstraints {
   // byte-identical to the pre-constraint code.
   const std::vector<int>* compact_or_null() const {
     return empty() ? nullptr : &fixed_compact;
-  }
-  // Same, netlist-indexed (for engines that never compact).
-  const std::vector<int>* gate_or_null() const {
-    return empty() ? nullptr : &fixed_of_gate;
   }
 };
 

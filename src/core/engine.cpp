@@ -164,9 +164,6 @@ constexpr Knob kKnobs[] = {
     {"halo", &EngineContext::halo, 0, 64,
      "adjacency hops beyond the dirty region the restricted refinement may "
      "still move"},
-    {"compare_scratch", &EngineContext::compare_scratch, -kInf, kInf,
-     "also run a scratch vcycle and report speedup_vs_scratch / "
-     "cost_drift_pct counters (costs a full cold solve)"},
     {"max_gates", &EngineContext::max_gates, 1, 64,
      "largest partitionable gate count the exhaustive search accepts (cost "
      "grows as K^G)"},
@@ -440,15 +437,13 @@ std::vector<OptionSpec> option_specs(
   return specs;
 }
 
-void apply_warm_overrides(const Netlist& netlist, const std::vector<int>* warm,
-                          Partition& partition) {
-  if (warm == nullptr) return;
-  std::size_t compact = 0;
-  for (GateId gate = 0; gate < netlist.num_gates(); ++gate) {
-    if (!netlist.is_partitionable(gate)) continue;
-    const int label = (*warm)[compact++];
-    if (label != kUnassignedPlane) {
-      partition.plane_of[static_cast<std::size_t>(gate)] = label;
+void overlay_warm_and_pins(std::vector<int>& labels,
+                           const std::vector<int>* warm,
+                           const CompiledConstraints& constraints) {
+  for (const std::vector<int>* over : {warm, constraints.compact_or_null()}) {
+    if (over == nullptr) continue;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      if ((*over)[i] != kUnassignedPlane) labels[i] = (*over)[i];
     }
   }
 }
@@ -563,8 +558,8 @@ StatusOr<EngineRun> EngineAdapter::run(const Netlist& netlist,
   EngineContext inner = context;
   inner.observer = context.observer != nullptr ? &renamed : nullptr;
 
-  // Lifecycle narration for engines whose legacy implementation emits no
-  // events of its own (layered, random): one run with one "restart", so
+  // Lifecycle narration for engines that emit no events of their own
+  // (layered, random, eco): one run with one "restart", so
   // --report-json carries an `engine` field for every registry engine.
   obs::TraceSink sink(self_observing() ? nullptr : inner.observer);
   if (sink.enabled()) {

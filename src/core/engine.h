@@ -1,13 +1,12 @@
 // Unified engine surface: every partitioning algorithm in the library
 // behind one interface and one registry.
 //
-// The paper's gradient-descent relaxation is one of seven engines; the
-// others (multilevel, annealing, FM k-way, layered, random) exist to
-// quantify the paper's section IV-A claim that classic K-way cut
-// objectives cannot capture plane-distance cost. Historically each had
-// its own options struct, result struct and free-function entry point, so
-// every bench/example/CLI comparison hand-wired six call sites. A
-// PartitionEngine normalizes all of them:
+// The paper's gradient-descent relaxation is one of nine engines; the
+// baselines (annealing, FM k-way, layered, random) exist to quantify the
+// paper's section IV-A claim that classic K-way cut objectives cannot
+// capture plane-distance cost. Each engine is reachable only through
+// this surface: one adapter per engine, no options or result struct of
+// its own. A PartitionEngine normalizes all of them:
 //
 //   auto engine = EngineRegistry::create("annealing");
 //   if (!engine) { /* engine.status(): NotFound for unknown names */ }
@@ -103,13 +102,12 @@ Status apply_engine_options(const std::vector<OptionSpec>& specs,
                             const Json& options, struct EngineContext& context,
                             std::string* canonical = nullptr);
 
-// The knobs shared by every engine. Engine-specific tuning (cooling
-// schedules, FM pass limits, coarsening targets) keeps its historical
-// defaults; the context carries only what the uniform surface needs to
-// thread through: problem shape, determinism, parallelism and
-// observability. Fields an engine has no use for are ignored (threads by
-// everything but gradient, refine by everything but gradient, seed by
-// layered).
+// The knobs shared by every engine. Baseline tuning (annealing's cooling
+// schedule, FM's pass limit and balance tolerance) is a set of constants
+// in the engine's file; the context carries only what the uniform
+// surface needs to thread through: problem shape, determinism,
+// parallelism and observability. Fields an engine has no use for are
+// ignored (refine by everything but gradient, seed by layered).
 struct EngineContext {
   int num_planes = 5;  // K (Table I uses 5)
   std::uint64_t seed = 1;
@@ -140,11 +138,6 @@ struct EngineContext {
   // adjacency hops beyond the changed gates the restricted refinement may
   // still move.
   int halo = 2;
-  // ECO engine only: additionally run a scratch vcycle on the same
-  // netlist and report "speedup_vs_scratch" / "cost_drift_pct" counters
-  // (the scratch run's wall-clock is *not* part of the eco run's
-  // wall_ms). Off by default — it costs a full cold solve.
-  bool compare_scratch = false;
   // Run the independent certifier (core/certify.h) over the result and
   // fail the run on any non-valid verdict. Debug builds default to on.
   bool certify = kCertifyDefault;
@@ -216,7 +209,7 @@ class PartitionEngine {
                                   const EngineContext& context) const = 0;
 };
 
-// Static registry of every known engine. The seven built-ins register
+// Static registry of every known engine. The nine built-ins register
 // themselves on first use; external code can add more with
 // register_engine (names must be unique).
 class EngineRegistry {

@@ -6,13 +6,14 @@
 // the outcome into an EngineRun — discrete CostTerms from the shared
 // CostModel on that same view (so rows from different engines are
 // directly comparable), wall-clock, and the subclass's counters. Engines
-// whose legacy implementation does not narrate an observer stream
-// (layered, random) get a minimal run lifecycle emitted here, so a
-// RunReport carries the `engine` field for every registry engine.
+// that do not narrate an observer stream of their own (layered, random,
+// eco) get a minimal run lifecycle emitted here, so a RunReport carries
+// the `engine` field for every registry engine.
 //
 // Not part of the public surface; include core/engine.h instead.
 #pragma once
 
+#include <cstdint>
 #include <initializer_list>
 #include <string_view>
 
@@ -54,13 +55,18 @@ class EngineAdapter : public PartitionEngine {
   virtual bool self_observing() const { return true; }
 };
 
-// Overwrites `partition` with the assigned entries of the compact warm
-// labeling (compact index i = i-th partitionable gate in ascending GateId
-// order); no-op when `warm` is null. For the constructive engines
-// (layered, random) that have no search to seed — the warm labels simply
-// replace the heuristic's output where assigned.
-void apply_warm_overrides(const Netlist& netlist, const std::vector<int>* warm,
-                          Partition& partition);
+// The random engine's labels (baseline/random_partition.cpp): the compact
+// indices 0..G-1 shuffled with Rng(seed), the i-th of them on plane
+// i mod K. annealing and fm_kway start from them too.
+std::vector<int> random_start(int num_gates, int num_planes,
+                              std::uint64_t seed);
+
+// Lays the warm labels, then the pins, over compact `labels` wherever
+// they are assigned: how every baseline seeds its start. A null `warm`
+// and empty constraints leave `labels` as they are.
+void overlay_warm_and_pins(std::vector<int>& labels,
+                           const std::vector<int>* warm,
+                           const CompiledConstraints& constraints);
 
 // The option table's specs for `names`, in table (canonical) order: what
 // each adapter's describe_options() returns.

@@ -7,10 +7,8 @@
 // FM-style bucket refinement restricted to the dirty region plus a BFS
 // halo of `halo` adjacency hops — the rest of the graph is never
 // touched, which is what makes a 1% ECO on a million-gate netlist orders
-// of magnitude cheaper than a scratch V-cycle. With compare_scratch the
-// engine additionally runs a scratch vcycle on the same netlist and
-// reports "speedup_vs_scratch" / "cost_drift_pct" counters.
-#include <chrono>
+// of magnitude cheaper than a scratch V-cycle (bench/eco_bench.cpp runs
+// the registry's vcycle beside it to measure that).
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -21,8 +19,6 @@
 #include "core/engine_adapter.h"
 #include "core/move_eval.h"
 #include "core/refine.h"
-#include "core/vcycle.h"
-#include "util/strings.h"
 
 namespace sfqpart::engine_detail {
 
@@ -50,7 +46,7 @@ class EcoAdapter final : public EngineAdapter {
 
   std::vector<OptionSpec> describe_options() const override {
     return option_specs({"planes", "seed", "restarts", "threads", "band",
-                         "max_passes", "halo", "compare_scratch", "certify",
+                         "max_passes", "halo", "certify",
                          "c1", "c2", "c3", "c4", "distance_exponent"});
   }
 
@@ -66,9 +62,6 @@ class EcoAdapter final : public EngineAdapter {
           "e.g. from core/delta.h warm_start_from); for a cold solve use "
           "engine 'vcycle'");
     }
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point eco_start = Clock::now();
-
     const PartitionProblem& problem = view.problem();
     const int n = problem.num_gates;
     const int k = context.num_planes;
@@ -165,36 +158,6 @@ class EcoAdapter final : public EngineAdapter {
     counters.emplace_back("dirty_gates", static_cast<double>(active.size()));
     counters.emplace_back("halo", static_cast<double>(context.halo));
     counters.emplace_back("eco_moves", static_cast<double>(stats.moves));
-    const double eco_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - eco_start)
-            .count();
-
-    if (context.compare_scratch) {
-      const Clock::time_point scratch_start = Clock::now();
-      VcycleOptions scratch;
-      scratch.seed = context.seed;
-      scratch.coarse.restarts = context.restarts;
-      scratch.coarse.weights = context.weights;
-      scratch.threads = context.threads;
-      scratch.band = context.band;
-      scratch.refine.max_passes = context.max_passes;
-      scratch.fixed = constraints.compact_or_null();
-      const VcycleResult cold =
-          vcycle_partition(view, netlist.num_gates(), scratch);
-      const double scratch_ms = std::chrono::duration<double, std::milli>(
-                                    Clock::now() - scratch_start)
-                                    .count();
-      const double eco_cost = eval.current_cost();
-      counters.emplace_back("scratch_ms", scratch_ms);
-      counters.emplace_back("eco_ms", eco_ms);
-      counters.emplace_back("speedup_vs_scratch",
-                            eco_ms > 0.0 ? scratch_ms / eco_ms : 0.0);
-      if (cold.discrete_total != 0.0) {
-        counters.emplace_back(
-            "cost_drift_pct",
-            (eco_cost - cold.discrete_total) / cold.discrete_total * 100.0);
-      }
-    }
 
     return problem.to_partition(eval.labels(), netlist.num_gates());
   }

@@ -1,5 +1,6 @@
 // "gradient" engine: the paper's gradient-descent relaxation, wrapping the
-// Solver facade unchanged (same defaults, same determinism contract).
+// Solver facade unchanged (same defaults, same determinism contract). The
+// Solver's cost model borrows the adapter's view.
 #include <memory>
 #include <string>
 #include <utility>
@@ -41,7 +42,7 @@ class GradientAdapter final : public EngineAdapter {
     config.fixed_labels = constraints.compact_or_null();
     config.warm_labels = warm;
     StatusOr<SolverResult> result =
-        Solver(std::move(config)).run(view.problem(), netlist.num_gates());
+        Solver(std::move(config)).run(view, netlist.num_gates());
     if (!result) return result.status();
     counters.emplace_back("iterations", result->iterations);
     counters.emplace_back("winning_restart", result->winning_restart);

@@ -6,15 +6,16 @@
 // K_LB = ceil(B_cir / B_limit) and increases K until the partitioner
 // produces a feasible stack.
 //
-// Solver failures propagate: an attempt that fails (bad base config,
-// degenerate problem) aborts the search with that Status instead of
-// silently skipping the K — a skipped failure used to masquerade as
-// "infeasible at this K", which inflated K_res. Parameter sweeps beyond
-// K live in core/sweep.h, which generalizes this search to arbitrary
-// engine-option axes.
+// Every attempt is a run of the registry's "gradient" engine, so the
+// base context is validated like any engine run. A failed attempt (bad
+// base context, degenerate problem) aborts the search with that Status
+// instead of silently skipping the K — a skipped failure used to
+// masquerade as "infeasible at this K", which inflated K_res. Parameter
+// sweeps beyond K live in core/sweep.h, which generalizes this search to
+// arbitrary engine-option axes.
 #pragma once
 
-#include "core/solver.h"
+#include "core/engine.h"
 #include "util/status.h"
 
 namespace sfqpart {
@@ -24,9 +25,9 @@ struct KresOptions {
   // Give up beyond this many planes (a malformed limit would otherwise
   // loop toward K = G).
   int max_planes = 256;
-  // Base options for each partitioning attempt; num_planes is overwritten
-  // by the search.
-  SolverConfig base;
+  // Base context of each gradient-engine attempt; num_planes is
+  // overwritten by the search.
+  EngineContext base;
 };
 
 struct KresResult {
@@ -34,11 +35,11 @@ struct KresResult {
   int k_lb = 0;   // ceil(B_cir / B_limit)
   int k_res = 0;  // smallest feasible K found
   double bmax_ma = 0.0;
-  SolverResult result;  // the feasible partition (valid when found)
+  EngineRun result;  // the feasible partition (valid when found)
 };
 
 // kInvalidArgument on a non-positive bias limit; any failed partitioning
-// attempt aborts the search with the solver's Status.
+// attempt aborts the search with the engine's Status.
 StatusOr<KresResult> find_min_planes(const Netlist& netlist,
                                      const KresOptions& options = {});
 

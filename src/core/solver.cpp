@@ -114,8 +114,12 @@ int Solver::effective_threads() const {
 
 StatusOr<LabelResult> Solver::solve(const PartitionProblem& problem) const {
   if (Status status = validate(config_, problem); !status) return status;
+  return solve_view(ProblemView(problem));
+}
 
-  CostModel model(problem, config_.weights, config_.gradient_style);
+LabelResult Solver::solve_view(const ProblemView& view) const {
+  const PartitionProblem& problem = view.problem();
+  CostModel model(view, config_.weights, config_.gradient_style);
   model.set_thread_pool(pool_.get());
 
   obs::TraceSink sink(config_.observer);
@@ -266,18 +270,21 @@ StatusOr<LabelResult> Solver::solve(const PartitionProblem& problem) const {
   return result;
 }
 
-StatusOr<SolverResult> Solver::run(const PartitionProblem& problem,
-                                      int netlist_num_gates) const {
-  StatusOr<LabelResult> solved = solve(problem);
-  if (!solved) return solved.status();
+StatusOr<SolverResult> Solver::run(const ProblemView& view,
+                                   int netlist_num_gates) const {
+  if (Status status = validate(config_, view.problem()); !status) {
+    return status;
+  }
+  LabelResult solved = solve_view(view);
   SolverResult result;
-  result.partition = problem.to_partition(solved->labels, netlist_num_gates);
-  result.soft_terms = solved->soft_terms;
-  result.discrete_terms = solved->discrete_terms;
-  result.discrete_total = solved->discrete_total;
-  result.iterations = solved->iterations;
-  result.winning_restart = solved->winning_restart;
-  result.converged = solved->converged;
+  result.partition =
+      view.problem().to_partition(solved.labels, netlist_num_gates);
+  result.soft_terms = solved.soft_terms;
+  result.discrete_terms = solved.discrete_terms;
+  result.discrete_total = solved.discrete_total;
+  result.iterations = solved.iterations;
+  result.winning_restart = solved.winning_restart;
+  result.converged = solved.converged;
   return result;
 }
 
@@ -288,7 +295,7 @@ StatusOr<SolverResult> Solver::run(const Netlist& netlist) const {
   }
   const PartitionProblem problem =
       PartitionProblem::from_netlist(netlist, config_.num_planes);
-  return run(problem, netlist.num_gates());
+  return run(ProblemView(problem), netlist.num_gates());
 }
 
 }  // namespace sfqpart

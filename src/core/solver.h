@@ -29,6 +29,7 @@
 #include "core/cost_model.h"
 #include "core/optimizer.h"
 #include "core/partition.h"
+#include "core/problem_view.h"
 #include "core/refine.h"
 #include "util/status.h"
 
@@ -126,18 +127,21 @@ class Solver {
   // of tripping asserts.
   StatusOr<SolverResult> run(const Netlist& netlist) const;
 
-  // Same flow on a prebuilt problem (benches that sweep K without
-  // re-extracting the netlist). `netlist_num_gates` sizes the expanded
-  // Partition. The problem's num_planes takes precedence over
-  // config().num_planes.
-  StatusOr<SolverResult> run(const PartitionProblem& problem,
-                                int netlist_num_gates) const;
+  // Same flow on a prebuilt view (the gradient engine's adapter), whose
+  // CSR the cost model borrows instead of building its own.
+  // `netlist_num_gates` sizes the expanded Partition. The problem's
+  // num_planes takes precedence over config().num_planes.
+  StatusOr<SolverResult> run(const ProblemView& view,
+                             int netlist_num_gates) const;
 
   // Core solve returning compact labels for callers that manage their own
   // problems (e.g. the V-cycle driver).
   StatusOr<LabelResult> solve(const PartitionProblem& problem) const;
 
  private:
+  // The descent on a view of a problem that validate() accepted.
+  LabelResult solve_view(const ProblemView& view) const;
+
   SolverConfig config_;
   // Created once when effective_threads() > 1; restarts and reductions
   // of every run() share it.

@@ -1,9 +1,9 @@
 // RunReport — aggregates one run's event stream into a machine-readable
 // report.
 //
-// Attach a RunReport as the observer of any engine (SolverConfig::observer,
-// VcycleOptions::observer, AnnealingOptions::observer,
-// FmOptions::observer) and it collects the config snapshot, one
+// Attach a RunReport as the observer of any engine
+// (EngineContext::observer, SolverConfig::observer,
+// VcycleOptions::observer) and it collects the config snapshot, one
 // convergence curve per restart (iteration, weighted cost, full
 // CostTerms), per-stage wall-time totals, counters, V-cycle levels and
 // the final outcome. Callers add what the engine cannot know — the

@@ -116,7 +116,7 @@ Json engines_json() {
 Daemon::Daemon(DaemonOptions options)
     : options_(options),
       sink_(options.observer),
-      cache_(options.cache_capacity, options.cache_shards, &sink_),
+      cache_(options.cache_capacity, /*shards=*/8, &sink_),
       queue_(options.queue_capacity) {
   workers_.reserve(static_cast<std::size_t>(std::max(0, options_.workers)));
   for (int i = 0; i < options_.workers; ++i) {

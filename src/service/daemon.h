@@ -60,9 +60,8 @@ struct DaemonOptions {
   int threads_per_job = 1;
   // Bounded queue: pushes beyond this are rejected (`queue_full`).
   std::size_t queue_capacity = 64;
-  // Result cache entry budget and shard count.
+  // Result cache entry budget (split across the cache's 8 shards).
   std::size_t cache_capacity = 256;
-  std::size_t cache_shards = 8;
   // Server-side certification (core/certify.h): turns on every job's
   // `certify` knob, so the engine adapter re-derives and checks the
   // result *before* the report is serialized and cached. A cache hit

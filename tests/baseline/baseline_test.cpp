@@ -1,14 +1,30 @@
-#include "baseline/fm_kway.h"
-#include "baseline/layered_partition.h"
-#include "baseline/random_partition.h"
+// The "random", "layered" and "fm_kway" engines through the registry;
+// FM is read with its `passes`, `initial_cut` and `final_cut` counters.
+#include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "gen/suite.h"
 #include "metrics/partition_metrics.h"
 
 namespace sfqpart {
 namespace {
+
+EngineRun run_engine(const char* name, const Netlist& netlist, int num_planes,
+                     std::uint64_t seed = 1) {
+  const auto engine = EngineRegistry::create(name);
+  EXPECT_TRUE(engine.is_ok()) << name;
+  if (!engine.is_ok()) return {};
+  EngineContext context;
+  context.num_planes = num_planes;
+  context.seed = seed;
+  auto run = (*engine)->run(netlist, context);
+  EXPECT_TRUE(run.is_ok()) << name << ": " << run.status().message();
+  if (!run.is_ok()) return {};
+  return *std::move(run);
+}
 
 void expect_complete(const Netlist& netlist, const Partition& partition, int k) {
   EXPECT_EQ(partition.num_planes, k);
@@ -24,7 +40,7 @@ void expect_complete(const Netlist& netlist, const Partition& partition, int k) 
 
 TEST(RandomPartition, CompleteAndCountBalanced) {
   const Netlist netlist = build_mapped("ksa8");
-  const Partition partition = random_partition(netlist, 5, 1);
+  const Partition partition = run_engine("random", netlist, 5).partition;
   expect_complete(netlist, partition, 5);
   const PartitionMetrics metrics = compute_metrics(netlist, partition);
   // Round-robin: plane gate counts differ by at most 1.
@@ -39,15 +55,15 @@ TEST(RandomPartition, CompleteAndCountBalanced) {
 
 TEST(RandomPartition, SeedControlsResult) {
   const Netlist netlist = build_mapped("ksa4");
-  EXPECT_EQ(random_partition(netlist, 4, 7).plane_of,
-            random_partition(netlist, 4, 7).plane_of);
-  EXPECT_NE(random_partition(netlist, 4, 7).plane_of,
-            random_partition(netlist, 4, 8).plane_of);
+  EXPECT_EQ(run_engine("random", netlist, 4, 7).partition.plane_of,
+            run_engine("random", netlist, 4, 7).partition.plane_of);
+  EXPECT_NE(run_engine("random", netlist, 4, 7).partition.plane_of,
+            run_engine("random", netlist, 4, 8).partition.plane_of);
 }
 
 TEST(LayeredPartition, BiasBalancedWithinOneGate) {
   const Netlist netlist = build_mapped("ksa8");
-  const Partition partition = layered_partition(netlist, 5);
+  const Partition partition = run_engine("layered", netlist, 5).partition;
   expect_complete(netlist, partition, 5);
   const PartitionMetrics metrics = compute_metrics(netlist, partition);
   const double ideal = metrics.total_bias_ma / 5;
@@ -59,32 +75,18 @@ TEST(LayeredPartition, BiasBalancedWithinOneGate) {
 TEST(LayeredPartition, ExploitsPipelineLocality) {
   const Netlist netlist = build_mapped("ksa8");
   const PartitionMetrics layered =
-      compute_metrics(netlist, layered_partition(netlist, 5));
+      compute_metrics(netlist, run_engine("layered", netlist, 5).partition);
   const PartitionMetrics random =
-      compute_metrics(netlist, random_partition(netlist, 5, 1));
+      compute_metrics(netlist, run_engine("random", netlist, 5).partition);
   EXPECT_GT(layered.frac_within(1), random.frac_within(1) + 0.2);
-}
-
-TEST(LayeredPartition, AreaModeBalancesArea) {
-  const Netlist netlist = build_mapped("mult4");
-  LayeredOptions options;
-  options.balance_bias = false;
-  const PartitionMetrics metrics =
-      compute_metrics(netlist, layered_partition(netlist, 4, options));
-  const double ideal = metrics.total_area_um2 / 4;
-  for (const double area : metrics.plane_area_um2) {
-    EXPECT_NEAR(area, ideal, 8000.0);
-  }
 }
 
 TEST(FmKway, ReducesCutWithinBalance) {
   const Netlist netlist = build_mapped("ksa8");
-  FmOptions options;
-  options.max_passes = 6;
-  const FmResult result = fm_kway_partition(netlist, 5, options);
+  const EngineRun result = run_engine("fm_kway", netlist, 5);
   expect_complete(netlist, result.partition, 5);
-  EXPECT_LT(result.final_cut, result.initial_cut);
-  EXPECT_EQ(cut_count(netlist, result.partition), result.final_cut);
+  EXPECT_LT(result.counter("final_cut"), result.counter("initial_cut"));
+  EXPECT_EQ(cut_count(netlist, result.partition), result.counter("final_cut"));
 
   const PartitionMetrics metrics = compute_metrics(netlist, result.partition);
   const double ideal = metrics.total_bias_ma / 5;
@@ -101,10 +103,10 @@ TEST(FmKway, CutObjectiveIgnoresDistance) {
   // distance profile than its own cut profile implies: check consistency,
   // d<=0 share == 1 - cut/|E|.
   const Netlist netlist = build_mapped("mult4");
-  const FmResult result = fm_kway_partition(netlist, 5);
+  const EngineRun result = run_engine("fm_kway", netlist, 5);
   const PartitionMetrics metrics = compute_metrics(netlist, result.partition);
   EXPECT_NEAR(metrics.frac_within(0),
-              1.0 - static_cast<double>(result.final_cut) / metrics.num_connections,
+              1.0 - result.counter("final_cut") / metrics.num_connections,
               1e-9);
 }
 

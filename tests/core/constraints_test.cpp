@@ -45,7 +45,6 @@ TEST(Constraints, EmptyDeclarationCompilesToNullPointers) {
   EXPECT_TRUE(compiled->empty());
   EXPECT_EQ(compiled->num_fixed, 0);
   EXPECT_EQ(compiled->compact_or_null(), nullptr);
-  EXPECT_EQ(compiled->gate_or_null(), nullptr);
 
   // Only empty groups declare nothing either.
   GateConstraints empty_groups;

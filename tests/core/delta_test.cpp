@@ -375,7 +375,6 @@ TEST(Delta, RepartitionRunsTheEcoEngineEndToEnd) {
 
   EngineContext context;
   context.num_planes = kPlanes;
-  context.compare_scratch = true;
   auto run = repartition(before, parent.partition, after, context);
   ASSERT_TRUE(run.is_ok()) << run.status().message();
   for (GateId g = 0; g < after.num_gates(); ++g) {
@@ -389,9 +388,14 @@ TEST(Delta, RepartitionRunsTheEcoEngineEndToEnd) {
   }
   EXPECT_EQ(run->counter("dirty_seeds"), static_cast<double>(delta.dirty()));
   EXPECT_GE(run->counter("dirty_gates"), run->counter("dirty_seeds"));
-  // The incremental result tracks the scratch solve; a gross divergence
-  // means the dirty-region restriction broke the cost model.
-  EXPECT_LT(std::abs(run->counter("cost_drift_pct")), 25.0);
+  // The incremental result tracks the scratch solve, the registry's
+  // vcycle on `after`; a gross divergence means the dirty-region
+  // restriction broke the cost model.
+  const auto scratch = (*EngineRegistry::create("vcycle"))->run(after, context);
+  ASSERT_TRUE(scratch.is_ok()) << scratch.status().message();
+  const double cost_drift_pct = (run->discrete_total - scratch->discrete_total) /
+                                scratch->discrete_total * 100.0;
+  EXPECT_LT(std::abs(cost_drift_pct), 25.0);
   // Determinism: the same ECO twice is bit-identical.
   auto again = repartition(before, parent.partition, after, context);
   ASSERT_TRUE(again.is_ok());

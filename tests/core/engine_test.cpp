@@ -207,7 +207,6 @@ std::optional<FieldPtr> field_of(EngineContext& c, const std::string& name) {
   if (name == "max_passes") return &c.max_passes;
   if (name == "refine_style") return &c.refine_style;
   if (name == "halo") return &c.halo;
-  if (name == "compare_scratch") return &c.compare_scratch;
   if (name == "max_gates") return &c.max_gates;
   if (name == "certify") return &c.certify;
   if (name == "c1") return &c.weights.c1;
@@ -247,7 +246,7 @@ void set_field(const FieldPtr& field, const Json& value) {
 TEST(EngineOptions, EveryTableRowChecksOptionsAndFieldsAlike) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::vector<OptionSpec> table = engine_option_table();
-  ASSERT_EQ(table.size(), 19u);
+  ASSERT_EQ(table.size(), 18u);
   for (const OptionSpec& spec : table) {
     SCOPED_TRACE(spec.name);
     EngineContext defaults;
@@ -331,9 +330,9 @@ TEST(EngineOptions, CanonicalFormsArePinned) {
         "planes=6;seed=2;certify=1;" + set_weights}},
       {"eco",
        {"planes=5;seed=1;restarts=3;band=1;max_passes=8;halo=2;"
-        "compare_scratch=0;certify=0;" + weights,
+        "certify=0;" + weights,
         "planes=6;seed=2;restarts=4;band=2;max_passes=9;halo=3;"
-        "compare_scratch=1;certify=1;" + set_weights}},
+        "certify=1;" + set_weights}},
       {"exact",
        {"planes=5;max_gates=20;certify=0;" + weights,
         "planes=6;max_gates=21;certify=1;" + set_weights}},
@@ -356,7 +355,7 @@ TEST(EngineOptions, CanonicalFormsArePinned) {
   const auto set = Json::parse(
       R"({"planes": 6, "seed": 2, "restarts": 4, "threads": 2, "refine": true,
           "band": 2, "coarse_target": 1025, "max_levels": 65, "max_passes": 9,
-          "refine_style": "buckets", "halo": 3, "compare_scratch": true,
+          "refine_style": "buckets", "halo": 3,
           "max_gates": 21, "certify": true, "c1": 1.25, "c2": 0.6, "c3": 0.6,
           "c4": 1.25, "distance_exponent": 5})");
   ASSERT_TRUE(set.is_ok());

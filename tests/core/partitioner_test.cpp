@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/random_partition.h"
+#include "core/engine.h"
 #include "core/solver.h"
 #include "gen/suite.h"
 #include "metrics/partition_metrics.h"
@@ -78,7 +78,11 @@ TEST(Partitioner, BeatsRandomBaselineOnLocalityAndBalance) {
   const Netlist netlist = build_mapped("ksa8");
   const SolverResult result = run_solver(netlist);
   const PartitionMetrics ours = compute_metrics(netlist, result.partition);
-  const PartitionMetrics rand = compute_metrics(netlist, random_partition(netlist, 5, 1));
+  EngineContext context;
+  context.num_planes = 5;
+  const auto random = (*EngineRegistry::create("random"))->run(netlist, context);
+  ASSERT_TRUE(random.is_ok()) << random.status().message();
+  const PartitionMetrics rand = compute_metrics(netlist, random->partition);
   // Random round-robin: ~52% of connections within distance 1 at K=5; the
   // optimizer should be far above, with comparable or better balance.
   EXPECT_GT(ours.frac_within(1), rand.frac_within(1) + 0.15);

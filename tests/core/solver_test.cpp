@@ -187,7 +187,8 @@ TEST(Solver, RunOnPrebuiltProblemMatchesNetlistRun) {
   const Netlist netlist = build_mapped("ksa4");
   const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 5);
   const auto via_netlist = Solver().run(netlist);
-  const auto via_problem = Solver().run(problem, netlist.num_gates());
+  const auto via_problem =
+      Solver().run(ProblemView(problem), netlist.num_gates());
   ASSERT_TRUE(via_netlist.is_ok());
   ASSERT_TRUE(via_problem.is_ok());
   EXPECT_EQ(via_netlist->partition.plane_of, via_problem->partition.plane_of);

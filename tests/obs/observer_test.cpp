@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/annealing.h"
-#include "baseline/fm_kway.h"
 #include "core/engine.h"
 #include "core/solver.h"
 #include "gen/suite.h"
@@ -275,13 +273,24 @@ TEST(Observer, MultilevelEmitsLevelsAndForwardsCoarseSolve) {
   EXPECT_EQ(recorder.events.back().type, "run_end");
 }
 
+// The baselines narrate their own runs through the registry; certify is
+// off so the engine's stage timer is the stream's last event.
+StatusOr<EngineRun> run_observed(const char* name, const Netlist& netlist,
+                                 obs::SolverObserver* observer) {
+  auto engine = EngineRegistry::create(name);
+  if (!engine) return engine.status();
+  EngineContext context;
+  context.num_planes = 3;
+  context.certify = false;
+  context.observer = observer;
+  return (*engine)->run(netlist, context);
+}
+
 TEST(Observer, AnnealingEmitsLifecycleAndMoveCounters) {
   const Netlist netlist = build_mapped("ksa4");
   Recorder recorder;
-  AnnealingOptions options;
-  options.temperature_steps = 6;
-  options.observer = &recorder;
-  anneal_partition(netlist, 3, options);
+  const auto result = run_observed("annealing", netlist, &recorder);
+  ASSERT_TRUE(result.is_ok()) << result.status().message();
 
   ASSERT_EQ(recorder.infos.size(), 1u);
   EXPECT_EQ(recorder.infos[0].engine, "annealing");
@@ -295,23 +304,29 @@ TEST(Observer, AnnealingEmitsLifecycleAndMoveCounters) {
   }
   EXPECT_GT(tried, 0);
   EXPECT_GT(iterations, 0);
+  EXPECT_EQ(tried, static_cast<long long>(result->counter("moves_tried")));
+  EXPECT_EQ(iterations, result->counter("steps"));
   EXPECT_EQ(recorder.events.back().detail, "anneal");  // scoped timer closes last
 }
 
 TEST(Observer, FmKwayEmitsLifecycleAndMoveCounters) {
   const Netlist netlist = build_mapped("ksa4");
   Recorder recorder;
-  FmOptions options;
-  options.observer = &recorder;
-  const FmResult result = fm_kway_partition(netlist, 3, options);
+  const auto result = run_observed("fm_kway", netlist, &recorder);
+  ASSERT_TRUE(result.is_ok()) << result.status().message();
 
   ASSERT_EQ(recorder.infos.size(), 1u);
   EXPECT_EQ(recorder.infos[0].engine, "fm_kway");
   double final_cost = -1.0;
+  int iterations = 0;
   for (const Recorded& e : recorder.events) {
-    if (e.type == "iteration") final_cost = e.cost;
+    if (e.type == "iteration") {
+      final_cost = e.cost;
+      ++iterations;
+    }
   }
-  EXPECT_EQ(final_cost, static_cast<double>(result.final_cut));
+  EXPECT_EQ(final_cost, result->counter("final_cut"));
+  EXPECT_EQ(iterations, result->counter("passes"));
 }
 
 }  // namespace

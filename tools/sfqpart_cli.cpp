@@ -106,9 +106,6 @@ OptionsParser make_parser(const std::string& command) {
   parser.add_int("halo", 2,
                  "eco engine: BFS hops around the dirty region the "
                  "restricted refinement may move");
-  parser.add_flag("compare-scratch", false,
-                  "eco engine: also run a scratch vcycle and report "
-                  "speedup_vs_scratch / cost_drift_pct counters");
   parser.add_string("sweep", "",
                     "parameter sweep axes: ';'-separated name=v1,v2,... "
                     "lists of engine options, e.g. --sweep 'planes=3,4,5;"
@@ -285,8 +282,6 @@ Json engine_flags(const OptionsParser& options) {
     flags.set(name, Json::number(options.get_int(name)));
   }
   flags.set("refine", Json::boolean(options.get_flag("refine")));
-  flags.set("compare_scratch",
-            Json::boolean(options.get_flag("compare-scratch")));
   flags.set("refine_style", Json::string(options.get_string("refine-style")));
   if (options.get_flag("certify")) flags.set("certify", Json::boolean(true));
   return flags;
@@ -328,6 +323,23 @@ StatusOr<EngineRun> run_engine(const Netlist& netlist, const OptionsParser& opti
     context.observer = &multicast;
   }
   return (*engine)->run(netlist, context);
+}
+
+// The engine flags limited to the knobs engine `name` advertises: the
+// base options of a sweep or a K search, whose runs validate against
+// that list.
+StatusOr<Json> flags_for_engine(const OptionsParser& options,
+                                const std::string& name) {
+  auto engine = EngineRegistry::create(name);
+  if (!engine) return engine.status();
+  const Json flags = engine_flags(options);
+  Json base = Json::object();
+  for (const OptionSpec& spec : (*engine)->describe_options()) {
+    if (const Json* value = flags.find(spec.name); value != nullptr) {
+      base.set(spec.name, *value);
+    }
+  }
+  return base;
 }
 
 // Text mode: one line per engine. JSON mode: the full structured surface —
@@ -488,7 +500,18 @@ int cmd_kres(const OptionsParser& options) {
   }
   KresOptions kopt;
   kopt.bias_limit_ma = options.get_double("limit");
-  kopt.base.seed = static_cast<std::uint64_t>(options.get_int("seed"));
+  // Every attempt runs the gradient engine, so its flags are checked
+  // against the option table like a partition run's.
+  auto base = flags_for_engine(options, "gradient");
+  if (!base) {
+    std::fprintf(stderr, "%s\n", base.status().message().c_str());
+    return 1;
+  }
+  if (Status st = apply_engine_options(engine_option_table(), *base, kopt.base);
+      !st) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 1;
+  }
   auto search = find_min_planes(*netlist, kopt);
   if (!search) {
     std::fprintf(stderr, "%s\n", search.status().message().c_str());
@@ -558,10 +581,9 @@ Status parse_sweep_axes(const std::string& spec, std::vector<SweepAxis>& out) {
   return Status::ok();
 }
 
-// The engine flags as the sweep's base options: only the names the engine
-// advertises, since every point validates its options against that list.
-// The per-gate flags have no per-point form, so they are rejected rather
-// than ignored.
+// The engine flags as the sweep's base options, limited to the names the
+// engine advertises. The per-gate flags have no per-point form, so they
+// are rejected rather than ignored.
 StatusOr<Json> sweep_base_options(const OptionsParser& options) {
   for (const char* flag : {"pin", "group", "warm-start"}) {
     if (!options.get_string(flag).empty()) {
@@ -570,16 +592,7 @@ StatusOr<Json> sweep_base_options(const OptionsParser& options) {
                                       "unconstrained and cold");
     }
   }
-  auto engine = EngineRegistry::create(options.get_string("engine"));
-  if (!engine) return engine.status();
-  const Json flags = engine_flags(options);
-  Json base = Json::object();
-  for (const OptionSpec& spec : (*engine)->describe_options()) {
-    if (const Json* value = flags.find(spec.name); value != nullptr) {
-      base.set(spec.name, *value);
-    }
-  }
-  return base;
+  return flags_for_engine(options, options.get_string("engine"));
 }
 
 int cmd_sweep(const OptionsParser& options) {

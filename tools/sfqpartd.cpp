@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
                  "bounded job queue; beyond this jobs are rejected "
                  "(queue_full)");
   parser.add_int("cache-capacity", 256, "result cache entries");
-  parser.add_int("cache-shards", 8, "result cache shard count");
   parser.add_flag("no-certify", false,
                   "skip the server-side result certification that otherwise "
                   "runs once per executed job before the cache insert");
@@ -42,6 +41,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Checked before the Daemon starts a thread or sizes a container: a
+  // negative count must not wrap to a huge unsigned one.
+  for (const char* flag : {"workers", "threads-per-job"}) {
+    const long long value = parser.get_int(flag);
+    if (value < 1 || value > 512) {
+      std::fprintf(stderr, "sfqpartd: --%s = %lld is out of range [1, 512]\n",
+                   flag, value);
+      return 1;
+    }
+  }
+  for (const char* flag : {"queue-capacity", "cache-capacity"}) {
+    const long long value = parser.get_int(flag);
+    if (value < 1) {
+      std::fprintf(stderr, "sfqpartd: --%s = %lld must be >= 1\n", flag,
+                   value);
+      return 1;
+    }
+  }
+
   service::DaemonOptions options;
   options.workers = static_cast<int>(parser.get_int("workers"));
   options.threads_per_job = static_cast<int>(parser.get_int("threads-per-job"));
@@ -49,13 +67,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(parser.get_int("queue-capacity"));
   options.cache_capacity =
       static_cast<std::size_t>(parser.get_int("cache-capacity"));
-  options.cache_shards =
-      static_cast<std::size_t>(parser.get_int("cache-shards"));
   options.certify = !parser.get_flag("no-certify");
-  if (options.workers < 1) {
-    std::fprintf(stderr, "sfqpartd: --workers must be >= 1\n");
-    return 1;
-  }
 
   service::Daemon daemon(options);
   daemon.serve(std::cin, std::cout);
